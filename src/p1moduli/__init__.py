@@ -17,7 +17,6 @@ from .qfield import (  # noqa: F401
     fixed_subtower,
     galois_group,
     multiquadratic_tower,
-    sqrt_in_field,
     tower_extend,
 )
 

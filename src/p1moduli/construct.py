@@ -21,6 +21,7 @@ from .divisor import AutGroup, Divisor, compute_aut, conjugate_divisor
 from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
+from .intmath import squarefree_part
 from .projline import Mobius, ProjPoint, mobius_from_triples, \
     mobius_order_and_fixed, zero_point
 from .qfield import FieldElem, FieldTower, galois_group, tower_extend
@@ -31,18 +32,6 @@ QQ = FieldTower()
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
-def _squarefree(v: int) -> bool:
-    if v == 0:
-        return False
-    v = abs(v)
-    d = 2
-    while d * d <= v:
-        if v % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 class CounterexampleSpec:
     """Input data for the generator: a nonsplit symbol, an even degree
     n >= 8, and a seed making retries reproducible."""
@@ -50,7 +39,7 @@ class CounterexampleSpec:
     __slots__ = ("a", "b", "n", "seed")
 
     def __init__(self, a: int, b: int, n: int, seed: int = 0):
-        if not (_squarefree(a) and _squarefree(b)):
+        if not all(v != 0 and squarefree_part(v) == v for v in (a, b)):
             raise ValueError("symbol entries must be nonzero and squarefree")
         if n < 8 or n % 2:
             raise BadDegree(f"need even degree >= 8, got {n}")

@@ -19,7 +19,8 @@ from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
     hasse_solvable, hilbert_symbol
 from .divisor import AutGroup, Divisor, compute_aut, conjugate_divisor, \
     conjugate_mobius
-from .errors import InternalInconsistency, ModelConstructionFailed
+from .errors import InternalInconsistency, ModelConstructionFailed, \
+    NonElementaryGaloisQuotient, UnsupportedAut
 from .moduli import CompressedDivisor, CompressionResult, ModuliData, \
     cocycle_class_to_quaternion, compressed_divisor, compression, \
     descent_cocycle, field_of_moduli
@@ -134,11 +135,10 @@ def decide(d: Divisor) -> Verdict:
             raise InternalInconsistency(
                 "pointless conic with an odd-degree orbit")
         if m % 2 == 0:
-            symbols = None
             try:
                 coc = descent_cocycle(data, d)
                 symbols = cocycle_class_to_quaternion(coc, data)
-            except Exception:
+            except (UnsupportedAut, NonElementaryGaloisQuotient):
                 symbols = None
             cert = Certificate("obstruction", conic=comp.conic,
                                failing=failing, symbols=symbols)

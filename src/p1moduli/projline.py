@@ -38,7 +38,7 @@ class ProjPoint:
             if x.is_zero():
                 raise ValueError("(0 : 0) is not a projective point")
             x = x.tower.one()
-        else:
+        elif y != 1:
             x = x / y
             y = y.tower.one()
         self.x = x

@@ -6,17 +6,28 @@ vector of length 2^L over the power-product basis: the basis element at
 index ``mask`` is the product of the roots whose step bits are set in
 ``mask`` (binary-counter order, step 0 is the lowest bit).
 
-Arithmetic is recursive on the top step: writing x = a + b*t with t the
-top root and a, b in the subtower, multiplication folds t^2 back to the
-radicand and inversion uses the conjugate a - b*t.
+An element stores its coordinates as a tuple of int numerators over one
+positive int denominator, reduced so that all of them have gcd 1; equal
+elements therefore hold equal ints. Each tower builds, once, a sparse
+structure-constant table with one int denominator D:
+e_a * e_b = sum_c T[a][b][c] e_c / D. In a multiquadratic tower every
+entry is the single term (prod_{i in a&b} d_i) e_{a^b} and D = 1; an
+irrational radicand gives dense entries. A prefix subtower's basis is a
+prefix of the basis, so the top-left block of the table is the table of
+every prefix: inversion (conj(x) / N(x)), square roots and real signs
+recurse on the halves x = a + b*t, with t the top root, through the same
+multiply loop.
 
-Square roots, Galois groups of Galois towers, and fixed subfields of
-subgroups are all computed exactly; no floating point appears anywhere.
+``Fraction`` appears only at the edges (``coords``, ``rad_coords``,
+``as_fraction``, ``sort_key``). Square roots, Galois groups of Galois
+towers, and fixed subfields of subgroups are all computed exactly; no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from . import linalg
@@ -31,108 +42,157 @@ from .intmath import fraction_sqrt, squarefree_part
 Rational = Fraction
 Coords = tuple[Fraction, ...]
 Scalar = Union["FieldElem", Fraction, int]
+Ints = tuple[tuple[int, ...], int]   # numerators and a positive denominator
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# raw coordinate arithmetic
+# int coordinate arithmetic
 # ---------------------------------------------------------------------------
 
-def _vadd(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
+def _reduce(nums: Sequence[int], den: int) -> Ints:
+    """Divide out the common gcd, leaving a positive denominator."""
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
 
 
-def _vsub(a: Coords, b: Coords) -> Coords:
-    return tuple(x - y for x, y in zip(a, b))
+def _ints(coords: Iterable[Fraction | int]) -> Ints:
+    fr = [Fraction(c) for c in coords]
+    den = lcm(*(f.denominator for f in fr))
+    return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
 
-def _vneg(a: Coords) -> Coords:
-    return tuple(-x for x in a)
+def _mul(x: Sequence[int], y: Sequence[int], table) -> list[int]:
+    """D times the product of two int vectors of equal length."""
+    acc = [0] * len(x)
+    ys = [(b, v) for b, v in enumerate(y) if v]
+    for a, u in enumerate(x):
+        if u:
+            row = table[a]
+            for b, v in ys:
+                uv = u * v
+                for c, t in row[b]:
+                    acc[c] += uv * t
+    return acc
 
 
-def _vscale(a: Coords, c: Fraction) -> Coords:
-    return tuple(c * x for x in a)
+def _conj_norm(x: Sequence[int], table) -> tuple[tuple[int, ...], list[int]]:
+    """For x = a + b*t: conj(x) = a - b*t, and D times the norm
+    x * conj(x) = a^2 - b^2 t^2, which lies in the subtower."""
+    h = len(x) // 2
+    conj = tuple(x[:h]) + tuple(-v for v in x[h:])
+    return conj, _mul(x, conj, table)[:h]
 
 
-def _vmul(a: Coords, b: Coords, rads: Sequence[Coords]) -> Coords:
-    n = len(a)
+def _extend_table(table, den: int, rad: Ints):
+    """The structure constants one step up, adjoining t with t^2 = rad."""
+    rn, rd = rad
+    h = len(rn)
+    # e_c * rad, as D * rd times its coordinates
+    crad = [_mul([int(i == c) for i in range(h)], rn, table) for c in range(h)]
+    scale = den * rd
+    rows = [[()] * (2 * h) for _ in range(2 * h)]
+    for a in range(h):
+        for b in range(h):
+            low = table[a][b]
+            rows[a][b] = tuple((c, t * scale) for c, t in low)
+            rows[a][b + h] = rows[a + h][b] = tuple((c + h, t * scale)
+                                                    for c, t in low)
+            acc = [0] * h
+            for c, t in low:
+                for m, v in enumerate(crad[c]):
+                    acc[m] += t * v
+            rows[a + h][b + h] = tuple((m, v) for m, v in enumerate(acc) if v)
+    new_den = den * scale
+    g = gcd(new_den, *(t for row in rows for cell in row for _, t in cell))
+    if g > 1:
+        rows = [[tuple((c, t // g) for c, t in cell) for cell in row]
+                for row in rows]
+    return rows, new_den // g
+
+
+def _inv(x: Sequence[int], den: int, tower: "FieldTower") -> Ints:
+    """The inverse of x / den in the prefix of its length."""
+    n = len(x)
     if n == 1:
-        return (a[0] * b[0],)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    sub = rads[:-1]
-    rho = rads[-1]
-    za1 = not any(a1)
-    zb1 = not any(b1)
-    if za1 and zb1:
-        return _vmul(a0, b0, sub) + (_ZERO,) * h
-    if za1:
-        return _vmul(a0, b0, sub) + _vmul(a0, b1, sub)
-    if zb1:
-        return _vmul(a0, b0, sub) + _vmul(a1, b0, sub)
-    p00 = _vmul(a0, b0, sub)
-    p11 = _vmul(a1, b1, sub)
-    low = _vadd(p00, _vmul(p11, rho, sub))
-    high = _vadd(_vmul(a0, b1, sub), _vmul(a1, b0, sub))
-    return low + high
-
-
-def _vinv(a: Coords, rads: Sequence[Coords]) -> Coords:
-    n = len(a)
-    if n == 1:
-        if a[0] == 0:
+        if not x[0]:
             raise NoInverse("division by zero in tower field")
-        return (1 / a[0],)
+        return _reduce((den,), x[0])
     h = n // 2
-    a0, a1 = a[:h], a[h:]
-    sub = rads[:-1]
-    if not any(a1):
-        return _vinv(a0, sub) + (_ZERO,) * h
-    rho = rads[-1]
-    d = _vsub(_vmul(a0, a0, sub), _vmul(_vmul(a1, a1, sub), rho, sub))
-    di = _vinv(d, sub)
-    return _vmul(a0, di, sub) + _vneg(_vmul(a1, di, sub))
+    if not any(x[h:]):
+        lo, d = _inv(x[:h], den, tower)
+        return lo + (0,) * h, d
+    table, tden = tower._mult()
+    conj, norm = _conj_norm(x, table)
+    nn, nd = _inv(norm, tden, tower)   # 1/x = conj(x) / N(x)
+    return _reduce([v * den for v in _mul(conj, nn + (0,) * h, table)],
+                   tden * nd)
 
 
-def _vsqrt(a: Coords, rads: Sequence[Coords]) -> Coords | None:
-    """Some square root of a in the tower, or None when there is none."""
-    n = len(a)
+def _sqrt(x: Sequence[int], den: int, tower: "FieldTower") -> Ints | None:
+    """Some square root of x / den in the prefix of its length, or None."""
+    n = len(x)
     if n == 1:
-        r = fraction_sqrt(a[0])
-        return None if r is None else (r,)
+        g = gcd(x[0], den)
+        p, q = x[0] // g, den // g
+        if p < 0:
+            return None
+        rp, rq = isqrt(p), isqrt(q)
+        return ((rp,), rq) if rp * rp == p and rq * rq == q else None
     h = n // 2
-    a0, a1 = a[:h], a[h:]
-    sub = rads[:-1]
-    rho = rads[-1]
-    zeros = (_ZERO,) * h
-    if not any(a1):
-        r = _vsqrt(a0, sub)
+    a, b = tuple(x[:h]), tuple(x[h:])
+    zeros = (0,) * h
+    table, tden = tower._mult()
+    if not any(b):
+        r = _sqrt(a, den, tower)
         if r is not None:
-            return r + zeros
-        q = _vmul(a0, _vinv(rho, sub), sub)
-        r = _vsqrt(q, sub)
-        if r is not None:
-            return zeros + r
-        return None
-    # x = u + v t with 2uv = a1 != 0: norm descent
-    norm = _vsub(_vmul(a0, a0, sub), _vmul(_vmul(a1, a1, sub), rho, sub))
-    s = _vsqrt(norm, sub)
+            return r[0] + zeros, r[1]
+        rn, rd = _inv(*tower._rads[h.bit_length() - 1], tower)
+        r = _sqrt(*_reduce(_mul(a, rn, table), den * rd * tden), tower)
+        return None if r is None else (zeros + r[0], r[1])
+    # x = u + v t with 2uv = b != 0: norm descent
+    s = _sqrt(*_reduce(_conj_norm(x, table)[1], tden * den * den), tower)
     if s is None:
         return None
-    for cand in (s, _vneg(s)):
-        u2 = _vscale(_vadd(a0, cand), _HALF)
-        u = _vsqrt(u2, sub)
-        if u is None or not any(u):
+    target = _reduce(x, den)
+    sn, sd = s
+    for sign in (1, -1):
+        u = _sqrt(*_reduce([p * sd + sign * q * den for p, q in zip(a, sn)],
+                           2 * den * sd), tower)
+        if u is None or not any(u[0]):
             continue
-        v = _vmul(_vscale(a1, _HALF), _vinv(u, sub), sub)
-        root = u + v
-        if _vmul(root, root, rads) == a:
+        un, ud = u
+        wn, wd = _inv(un, ud, tower)
+        vn, vd = _reduce(_mul(b, wn, table), 2 * den * wd * tden)
+        root = _reduce([p * vd for p in un] + [q * ud for q in vn], ud * vd)
+        if _reduce(_mul(root[0], root[0], table),
+                   root[1] * root[1] * tden) == target:
             return root
     return None
+
+
+def _sign(x: Sequence[int], tower: "FieldTower") -> int:
+    """Sign of an int vector under the all-roots-positive embedding."""
+    n = len(x)
+    if n == 1:
+        return (x[0] > 0) - (x[0] < 0)
+    h = n // 2
+    s0 = _sign(x[:h], tower)
+    s1 = _sign(x[h:], tower)
+    if s1 == 0:
+        return s0
+    if s0 == 0 or s0 == s1:
+        return s1
+    # opposite signs: the sign of the norm a^2 - b^2 rho decides
+    sd = _sign(_conj_norm(x, tower._mult()[0])[1], tower)
+    if sd == 0:
+        raise InternalInconsistency("radicand is a square in its subtower")
+    return sd if s0 > 0 else -sd
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +207,16 @@ class FieldTower:
     to squarefree integers; genuinely irrational ones are kept as given.
     """
 
-    __slots__ = ("rad_coords", "level", "degree", "_key", "_galois", "_is_real")
+    __slots__ = ("rad_coords", "level", "degree", "_rads", "_hash", "_table",
+                 "_galois", "_is_real")
 
     def __init__(self, rad_coords: tuple[Coords, ...] = ()):
         self.rad_coords = rad_coords
         self.level = len(rad_coords)
         self.degree = 1 << self.level
-        self._key = rad_coords
+        self._rads = tuple(_ints(c) for c in rad_coords)
+        self._hash = hash(self._rads)
+        self._table = None
         self._galois = None
         self._is_real = None
 
@@ -162,10 +225,11 @@ class FieldTower:
         return FieldTower(())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FieldTower) and self._key == other._key
+        return self is other or (isinstance(other, FieldTower)
+                                 and self._rads == other._rads)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         if self.level == 0:
@@ -173,18 +237,28 @@ class FieldTower:
         rads = ", ".join(_coords_repr(c) for c in self.rad_coords)
         return f"FieldTower(Q; {rads})"
 
+    def _mult(self):
+        """The structure-constant table and its denominator, built once."""
+        if self._table is None:
+            if self.level == 0:
+                self._table = ([[((0, 1),)]], 1)
+            else:
+                sub = self.prefix(self.level - 1)._mult()
+                self._table = _extend_table(*sub, self._rads[-1])
+        return self._table
+
     # -- element constructors ------------------------------------------------
 
     def element(self, coords: Iterable[Fraction | int]) -> "FieldElem":
-        c = tuple(Fraction(x) for x in coords)
-        if len(c) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(c)}")
-        return FieldElem(self, c)
+        nums, den = _ints(coords)
+        if len(nums) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(nums)}")
+        return FieldElem(self, nums, den)
 
     def from_rational(self, q: Fraction | int) -> "FieldElem":
-        c = [_ZERO] * self.degree
-        c[0] = Fraction(q)
-        return FieldElem(self, tuple(c))
+        q = Fraction(q)
+        return FieldElem(self, (q.numerator,) + (0,) * (self.degree - 1),
+                         q.denominator)
 
     def zero(self) -> "FieldElem":
         return self.from_rational(0)
@@ -194,43 +268,34 @@ class FieldTower:
 
     def root(self, step: int) -> "FieldElem":
         """The square root adjoined at the given step, as an element."""
-        c = [_ZERO] * self.degree
-        c[1 << step] = _ONE
-        return FieldElem(self, tuple(c))
+        return FieldElem(self, tuple(int(i == 1 << step)
+                                     for i in range(self.degree)))
 
     def radicand(self, step: int) -> "FieldElem":
         """The step radicand embedded into the full tower."""
-        c = self.rad_coords[step]
-        return FieldElem(self, c + (_ZERO,) * (self.degree - len(c)))
+        nums, den = self._rads[step]
+        return FieldElem(self, nums + (0,) * (self.degree - len(nums)), den)
 
     def prefix(self, level: int) -> "FieldTower":
-        return FieldTower(self.rad_coords[:level])
+        sub = FieldTower(self.rad_coords[:level])
+        sub._table = self._table   # its top-left block serves the prefix
+        return sub
 
     def embed(self, x: "FieldElem") -> "FieldElem":
         """Embed an element of a prefix tower into this tower."""
         if x.tower == self:
             return x
-        if x.tower.rad_coords != self.rad_coords[: x.tower.level]:
+        if x.tower._rads != self._rads[: x.tower.level]:
             raise ValueError("element does not live in a prefix of this tower")
-        return FieldElem(self, x.coords + (_ZERO,) * (self.degree - len(x.coords)))
+        return FieldElem(self, x.num + (0,) * (self.degree - len(x.num)), x.den)
 
     @property
     def is_real(self) -> bool:
         """True when every radicand is positive under the real embedding
         that takes all adjoined roots positive."""
         if self._is_real is None:
-            flag = True
-            for i in range(self.level):
-                if not flag:
-                    break
-                sub = self.prefix(i)
-                if not sub.is_real:
-                    flag = False
-                    break
-                rad = sub.element(self.rad_coords[i])
-                if sign_real(rad) <= 0:
-                    flag = False
-            self._is_real = flag
+            self._is_real = all(_sign(nums, self) > 0
+                                for nums, _ in self._rads)
         return self._is_real
 
     def rationals_only(self) -> bool:
@@ -238,7 +303,7 @@ class FieldTower:
 
     def is_multiquadratic(self) -> bool:
         """True when every radicand is rational."""
-        return all(not any(c[1:]) for c in self.rad_coords)
+        return all(not any(nums[1:]) for nums, _ in self._rads)
 
     def rational_radicands(self) -> list[Fraction]:
         if not self.is_multiquadratic():
@@ -247,20 +312,32 @@ class FieldTower:
 
 
 class FieldElem:
-    """An element of a FieldTower; immutable and hashable."""
+    """An element of a FieldTower; immutable and hashable.
 
-    __slots__ = ("tower", "coords", "_hash")
+    ``num`` holds int numerators over the positive int ``den``, with no
+    common factor left."""
 
-    def __init__(self, tower: FieldTower, coords: Coords):
+    __slots__ = ("tower", "num", "den", "_hash")
+
+    def __init__(self, tower: FieldTower, num: tuple[int, ...], den: int = 1):
         self.tower = tower
-        self.coords = coords
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @staticmethod
+    def _make(tower: FieldTower, nums: Sequence[int], den: int) -> "FieldElem":
+        return FieldElem(tower, *_reduce(nums, den))
+
+    @property
+    def coords(self) -> Coords:
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     # -- coercion -------------------------------------------------------------
 
     def _coerce(self, other: Scalar) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.tower != self.tower:
+            if other.tower is not self.tower and other.tower != self.tower:
                 raise ValueError("elements live in different towers")
             return other
         return self.tower.from_rational(Fraction(other))
@@ -269,31 +346,37 @@ class FieldElem:
 
     def __add__(self, other: Scalar) -> "FieldElem":
         o = self._coerce(other)
-        return FieldElem(self.tower, _vadd(self.coords, o.coords))
+        if self.den == o.den:
+            return self._make(self.tower, [p + q for p, q in zip(self.num, o.num)],
+                              self.den)
+        return self._make(self.tower, [p * o.den + q * self.den
+                                       for p, q in zip(self.num, o.num)],
+                          self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "FieldElem":
-        o = self._coerce(other)
-        return FieldElem(self.tower, _vsub(self.coords, o.coords))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other: Scalar) -> "FieldElem":
-        o = self._coerce(other)
-        return FieldElem(self.tower, _vsub(o.coords, self.coords))
+        return self._coerce(other) + (-self)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(self.tower, _vneg(self.coords))
+        return FieldElem(self.tower, tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other: Scalar) -> "FieldElem":
-        if isinstance(other, (int, Fraction)):
-            return FieldElem(self.tower, _vscale(self.coords, Fraction(other)))
-        o = self._coerce(other)
-        return FieldElem(self.tower, _vmul(self.coords, o.coords, self.tower.rad_coords))
+        if isinstance(other, FieldElem):
+            table, tden = self._coerce(other).tower._mult()
+            return self._make(self.tower, _mul(self.num, other.num, table),
+                              self.den * other.den * tden)
+        q = Fraction(other)
+        return self._make(self.tower, [v * q.numerator for v in self.num],
+                          self.den * q.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        return FieldElem(self.tower, _vinv(self.coords, self.tower.rad_coords))
+        return FieldElem(self.tower, *_inv(self.num, self.den, self.tower))
 
     def __truediv__(self, other: Scalar) -> "FieldElem":
         o = self._coerce(other)
@@ -322,28 +405,29 @@ class FieldElem:
             other = self.tower.from_rational(other)
         return (
             isinstance(other, FieldElem)
+            and self.num == other.num
+            and self.den == other.den
             and self.tower == other.tower
-            and self.coords == other.coords
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.tower, self.coords))
+            self._hash = hash((self.tower, self.num, self.den))
         return self._hash
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def sqrt(self) -> "FieldElem | None":
         """The canonical square root inside the tower, or None.
@@ -352,17 +436,17 @@ class FieldElem:
         returned; otherwise the representative whose first nonzero
         coordinate is positive.
         """
-        r = _vsqrt(self.coords, self.tower.rad_coords)
+        r = _sqrt(self.num, self.den, self.tower)
         if r is None:
             return None
-        elem = FieldElem(self.tower, r)
+        elem = FieldElem(self.tower, *r)
         if elem.is_zero():
             return elem
         if self.tower.is_real:
             if sign_real(elem) < 0:
                 elem = -elem
         else:
-            first = next(x for x in elem.coords if x)
+            first = next(v for v in elem.num if v)
             if first < 0:
                 elem = -elem
         return elem
@@ -384,36 +468,7 @@ def sign_real(x: FieldElem) -> int:
     Only meaningful when the tower is real; computed by recursive
     comparison of conjugate halves, no floating point involved.
     """
-    return _sign_real(x.coords, x.tower.rad_coords)
-
-
-def _sign_real(a: Coords, rads: Sequence[Coords]) -> int:
-    n = len(a)
-    if n == 1:
-        return (a[0] > 0) - (a[0] < 0)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    sub = rads[:-1]
-    s0 = _sign_real(a0, sub)
-    s1 = _sign_real(a1, sub)
-    if s1 == 0:
-        return s0
-    if s0 == 0:
-        return s1
-    if s0 == s1:
-        return s0
-    # opposite signs: compare a0^2 against a1^2 * rho
-    rho = rads[-1]
-    diff = _vsub(_vmul(a0, a0, sub), _vmul(_vmul(a1, a1, sub), rho, sub))
-    sd = _sign_real(diff, sub)
-    if sd == 0:
-        raise InternalInconsistency("radicand is a square in its subtower")
-    return sd if s0 > 0 else -sd
-
-
-def sqrt_in_field(x: FieldElem) -> FieldElem | None:
-    """Functional alias for FieldElem.sqrt."""
-    return x.sqrt()
+    return _sign(x.num, x.tower)
 
 
 # ---------------------------------------------------------------------------
@@ -491,31 +546,29 @@ class GaloisAut:
         self._hash = None
         self.index = None  # set by GaloisGroup
 
-    def _basis_images(self) -> list[Coords]:
+    def _basis_images(self) -> tuple[list[tuple[int, ...]], int]:
+        """Images of the basis as int vectors over one common denominator."""
         if self._basis_imgs is None:
-            deg = self.tower.degree
-            imgs = [self.tower.one().coords] * deg
-            for mask in range(1, deg):
+            imgs = [self.tower.one()] * self.tower.degree
+            for mask in range(1, self.tower.degree):
                 low = mask & (-mask)
-                step = low.bit_length() - 1
-                prev = imgs[mask ^ low]
-                imgs[mask] = _vmul(prev, self.images[step].coords,
-                                   self.tower.rad_coords)
-            self._basis_imgs = imgs
+                imgs[mask] = imgs[mask ^ low] * self.images[low.bit_length() - 1]
+            den = lcm(*(img.den for img in imgs))
+            self._basis_imgs = ([tuple(v * (den // img.den) for v in img.num)
+                                 for img in imgs], den)
         return self._basis_imgs
 
     def apply(self, x: FieldElem) -> FieldElem:
         if x.tower != self.tower:
             raise ValueError("element lives in a different tower")
-        imgs = self._basis_images()
-        acc = [_ZERO] * self.tower.degree
-        for mask, c in enumerate(x.coords):
+        imgs, den = self._basis_images()
+        acc = [0] * self.tower.degree
+        for c, img in zip(x.num, imgs):
             if c:
-                img = imgs[mask]
                 for i, v in enumerate(img):
                     if v:
                         acc[i] += c * v
-        return FieldElem(self.tower, tuple(acc))
+        return FieldElem._make(self.tower, acc, x.den * den)
 
     __call__ = apply
 
@@ -525,11 +578,11 @@ class GaloisAut:
                          tuple(self.apply(img) for img in other.images))
 
     def is_identity(self) -> bool:
-        return all(img.coords == self.tower.root(i).coords
+        return all(img == self.tower.root(i)
                    for i, img in enumerate(self.images))
 
     def key(self):
-        return tuple(img.coords for img in self.images)
+        return tuple((img.num, img.den) for img in self.images)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GaloisAut) and self.tower == other.tower
@@ -542,10 +595,6 @@ class GaloisAut:
 
     def __repr__(self) -> str:
         return f"GaloisAut({[repr(i) for i in self.images]})"
-
-
-def apply_aut(aut: GaloisAut, x: FieldElem) -> FieldElem:
-    return aut.apply(x)
 
 
 class GaloisGroup:
@@ -563,7 +612,7 @@ class GaloisGroup:
         self.tower = tower
         idn = [e for e in elements if e.is_identity()]
         rest = sorted((e for e in elements if not e.is_identity()),
-                      key=lambda e: e.key())
+                      key=lambda e: tuple(i.coords for i in e.images))
         self.elements = tuple(idn + rest)
         self._by_key = {e.key(): i for i, e in enumerate(self.elements)}
         for i, e in enumerate(self.elements):
@@ -631,10 +680,10 @@ def galois_group(tower: FieldTower) -> GaloisGroup:
         return tower._galois
     partial: list[list[FieldElem]] = [[]]
     for step in range(tower.level):
-        rad_c = tower.rad_coords[step]
+        rad = tower._rads[step]
         nxt: list[list[FieldElem]] = []
         for images in partial:
-            conj = _eval_on_images(rad_c, images, tower)
+            conj = _eval_on_images(rad, images, tower)
             root = conj.sqrt()
             if root is None:
                 raise NotGalois(step,
@@ -648,14 +697,15 @@ def galois_group(tower: FieldTower) -> GaloisGroup:
     return group
 
 
-def _eval_on_images(coords: Coords, images: list[FieldElem],
+def _eval_on_images(rad: Ints, images: list[FieldElem],
                     tower: FieldTower) -> FieldElem:
     """Evaluate a subtower coordinate vector on given root images."""
+    nums, den = rad
     acc = tower.zero()
-    for mask, c in enumerate(coords):
+    for mask, c in enumerate(nums):
         if not c:
             continue
-        term = tower.from_rational(c)
+        term = tower.from_rational(Fraction(c, den))
         m = mask
         while m:
             low = m & (-m)
@@ -684,10 +734,10 @@ class SubfieldPresentation:
         if x.tower != self.tower:
             raise ValueError("element does not live in the subtower")
         acc = self.parent.zero()
-        for c, img in zip(x.coords, self.basis_images):
+        for c, img in zip(x.num, self.basis_images):
             if c:
-                acc = acc + c * img
-        return acc
+                acc = acc + img * c
+        return acc * Fraction(1, x.den)
 
     def restrict(self, x: FieldElem) -> FieldElem:
         """Express a parent element lying in the subfield in subtower
@@ -700,10 +750,10 @@ class SubfieldPresentation:
         return self.tower.element(sol)
 
 
-def _action_matrix(aut: GaloisAut) -> linalg.Matrix:
+def _action_matrix(aut: GaloisAut) -> tuple[linalg.Matrix, int]:
     deg = aut.tower.degree
-    imgs = aut._basis_images()
-    return [[imgs[c][r] for c in range(deg)] for r in range(deg)]
+    imgs, den = aut._basis_images()
+    return [[imgs[c][r] for c in range(deg)] for r in range(deg)], den
 
 
 def _fixed_space(group: GaloisGroup, indices: frozenset[int]) -> list[linalg.Vector]:
@@ -712,10 +762,11 @@ def _fixed_space(group: GaloisGroup, indices: frozenset[int]) -> list[linalg.Vec
     for i in sorted(indices):
         if i == 0:
             continue
-        a = _action_matrix(group.elements[i])
+        # den * (action - 1): the same kernel, over the ints
+        a, den = _action_matrix(group.elements[i])
         for r in range(deg):
             row = a[r][:]
-            row[r] -= _ONE
+            row[r] -= den
             rows.append(row)
     if not rows:
         return [list(v) for v in linalg.identity(deg)]
@@ -735,8 +786,7 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
         qq = FieldTower.rationals()
         return SubfieldPresentation(qq, [tower.one()], tower)
     if len(sub) == 1:
-        basis = [FieldElem(tower, tuple(_ONE if i == m else _ZERO
-                                        for i in range(tower.degree)))
+        basis = [tower.element([int(i == m) for i in range(tower.degree)])
                  for m in range(tower.degree)]
         return SubfieldPresentation(tower, basis, tower)
 
@@ -773,7 +823,7 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
                      if not linalg.in_span(space_big, v))
         tau_i = next(iter(bigger_grp - smaller_grp))
         tau = group.elements[tau_i]
-        x = FieldElem(tower, tuple(x_vec))
+        x = tower.element(x_vec)
         y = x - tau.apply(x)
         if y.is_zero():
             raise InternalInconsistency("fixed-space vector collapsed")

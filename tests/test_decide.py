@@ -1,5 +1,6 @@
 """End-to-end verdicts, explicit models, and certificate verification."""
 
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from p1moduli.decide import (
     DEFINED_ON_P1, NOT_DEFINED, UNSUPPORTED_BASE, Certificate,
     binary_form_coefficients, build_p1_model, decide, verify_certificate)
 from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
+from p1moduli.errors import InternalInconsistency, UnsupportedAut
 from p1moduli.moduli import field_of_moduli
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, galois_group, multiquadratic_tower
@@ -196,6 +198,26 @@ def test_obstructed_eight_orbits_all_even():
     v = decide(d)
     assert v.compressed is not None
     assert v.compressed.all_degrees_even()
+
+
+def test_obstruction_symbols_refusal_and_internal_error(monkeypatch):
+    """A decomposition the cocycle step does not support leaves the
+    symbols out; an internal error there propagates instead."""
+    # the package attribute p1moduli.decide is the function
+    decide_mod = importlib.import_module("p1moduli.decide")
+
+    def refuse(*args):
+        raise UnsupportedAut("values outside a group of order 2")
+
+    def broken(*args):
+        raise InternalInconsistency("cocycle identity fails")
+
+    monkeypatch.setattr(decide_mod, "cocycle_class_to_quaternion", refuse)
+    v = decide(obstructed_eight())
+    assert v.outcome == NOT_DEFINED and v.certificate.symbols is None
+    monkeypatch.setattr(decide_mod, "descent_cocycle", broken)
+    with pytest.raises(InternalInconsistency):
+        decide(obstructed_eight())
 
 
 # ---------------------------------------------------------------------------

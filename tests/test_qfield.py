@@ -109,9 +109,11 @@ def test_inverse_random():
 
 
 def test_zero_has_no_inverse():
-    t = multiquadratic_tower([5])
-    with pytest.raises(NoInverse):
-        t.zero().inverse()
+    for t in KERNEL_TOWERS:
+        with pytest.raises(NoInverse):
+            t.zero().inverse()
+        with pytest.raises(NoInverse):
+            t.one() / t.zero()
 
 
 def test_root_squares_to_radicand():
@@ -345,3 +347,137 @@ def test_fixed_subtower_in_cyclic_quartic():
     pres = fixed_subtower(g, [sq])
     assert pres.tower.level == 1
     assert pres.tower.rational_radicands() == [F(2)]
+
+
+# ---------------------------------------------------------
+# int kernel against a Fraction oracle
+# ---------------------------------------------------------
+
+def _ref_mul(a, b, rads):
+    """Product of Fraction coordinate vectors, recursing on the top root."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0],)
+    h = n // 2
+    sub, rho = rads[:-1], rads[-1]
+    low = _ref_add(_ref_mul(a[:h], b[:h], sub),
+                   _ref_mul(_ref_mul(a[h:], b[h:], sub), rho, sub))
+    high = _ref_add(_ref_mul(a[:h], b[h:], sub), _ref_mul(a[h:], b[:h], sub))
+    return low + high
+
+
+def _ref_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_norm(a, rads):
+    h = len(a) // 2
+    sub = rads[:-1]
+    return _ref_add(_ref_mul(a[:h], a[:h], sub),
+                    _ref_mul(_ref_mul(a[h:], a[h:], sub), rads[-1], sub), -1)
+
+
+def _ref_inv(a, rads):
+    if len(a) == 1:
+        return (1 / a[0],)
+    h = len(a) // 2
+    ni = _ref_inv(_ref_norm(a, rads), rads[:-1])
+    return (_ref_mul(a[:h], ni, rads[:-1])
+            + tuple(-x for x in _ref_mul(a[h:], ni, rads[:-1])))
+
+
+def _ref_sign(a, rads):
+    if len(a) == 1:
+        return (a[0] > 0) - (a[0] < 0)
+    h = len(a) // 2
+    s0, s1 = _ref_sign(a[:h], rads[:-1]), _ref_sign(a[h:], rads[:-1])
+    if s0 * s1 >= 0:
+        return s0 or s1
+    return s0 * _ref_sign(_ref_norm(a, rads), rads[:-1])
+
+
+def _irrational_tower():
+    """Q(sqrt 2, sqrt(1/3 + sqrt2/2), sqrt(5/2 + sqrt2/3 + t/4)), real."""
+    t = multiquadratic_tower([2])
+    t = tower_extend(t, t.element([F(1, 3), F(1, 2)])).tower
+    res = tower_extend(t, t.element([F(5, 2), F(1, 3), F(1, 4), 0]))
+    assert res.extended
+    return res.tower
+
+
+def _kernel_towers():
+    out = []
+    for rads in ([2, 3, 5, 7], [-1, 2, -3, 5]):
+        full = multiquadratic_tower(rads)
+        out += [full.prefix(level) for level in range(5)]
+    sqrt2 = multiquadratic_tower([2])
+    out.append(tower_extend(sqrt2, sqrt2.element([2, 1])).tower)
+    out.append(_irrational_tower())
+    return out
+
+
+KERNEL_TOWERS = _kernel_towers()
+KERNEL_IDS = [repr(t) for t in KERNEL_TOWERS]
+
+
+@pytest.mark.parametrize("t", KERNEL_TOWERS, ids=KERNEL_IDS)
+def test_kernel_mul_and_inverse_match_oracle(t):
+    rng = random.Random(f"kernel:{t!r}")
+    for _ in range(20):
+        a = random_element(t, rng, height=30)
+        b = random_element(t, rng, height=30)
+        assert (a * b).coords == _ref_mul(a.coords, b.coords, t.rad_coords)
+        if not a.is_zero():
+            assert a.inverse().coords == _ref_inv(a.coords, t.rad_coords)
+
+
+@pytest.mark.parametrize("t", KERNEL_TOWERS, ids=KERNEL_IDS)
+def test_kernel_sqrt_matches_oracle(t):
+    rng = random.Random(f"sqrt:{t!r}")
+    for _ in range(10):
+        y = random_element(t, rng)
+        square = t.element(_ref_mul(y.coords, y.coords, t.rad_coords))
+        s = square.sqrt()
+        assert s in (y, -y)
+        assert _ref_mul(s.coords, s.coords, t.rad_coords) == square.coords
+    for step in range(t.level):
+        # each radicand is a nonsquare in the subtower it extends
+        below = t.prefix(step)
+        assert below.element(t.rad_coords[step]).sqrt() is None
+
+
+@pytest.mark.parametrize("t", [t for t in KERNEL_TOWERS if t.is_real],
+                         ids=[i for t, i in zip(KERNEL_TOWERS, KERNEL_IDS)
+                              if t.is_real])
+def test_kernel_sign_real_matches_oracle(t):
+    rng = random.Random(f"sign:{t!r}")
+    for _ in range(30):
+        a = random_element(t, rng)
+        assert sign_real(a) == _ref_sign(a.coords, t.rad_coords)
+
+
+def test_equal_values_by_different_routes():
+    rng = random.Random(5)
+    for t in KERNEL_TOWERS:
+        a, b = random_element(t, rng), random_element(t, rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        routes = [a, (a * b) / b, (a * 3 + b) * F(1, 3) - b * F(1, 3),
+                  t.element([2 * c for c in a.coords]) / 2,
+                  a.inverse().inverse()]
+        for r in routes:
+            assert r == a and hash(r) == hash(a)
+        half = t.element([F(2, 4)] + [0] * (t.degree - 1))
+        assert half == t.from_rational(F(1, 2)) == F(1, 2)
+        assert hash(half) == hash(t.from_rational(F(1, 2)))
+
+
+def test_coords_are_fractions():
+    t = _irrational_tower()
+    x = t.element([F(1, 2), 3, 0, F(-5, 6), 1, 0, 0, 2])
+    assert isinstance(x.coords, tuple)
+    assert all(type(c) is Fraction for c in x.coords)
+    assert x.coords == (F(1, 2), 3, 0, F(-5, 6), 1, 0, 0, 2)
+    assert all(type(c) is Fraction for r in t.rad_coords for c in r)
+    assert x.sort_key() == x.coords
+    assert t.from_rational(F(7, 3)).as_fraction() == F(7, 3)
