@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .conic import Parametrization, TernaryForm, find_point, hasse_solvable, \
     parametrize
 from .decide import DEFINED_ON_CONIC, NOT_DEFINED, Verdict, decide
-from .divisor import AutGroup, Divisor, compute_aut, conjugate_divisor
+from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
+    conjugate_divisor
 from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
@@ -309,7 +310,8 @@ def gen_counterexample(spec: CounterexampleSpec,
         if built is None:
             continue
         big, sqrt_b, divisor = built
-        aut = compute_aut(divisor)
+        table = TripleTable(divisor)
+        aut = table.aut
         deck = Mobius.from_rationals(big, -1, 0, 0, 1)
         try:
             deck_in = aut.index_of(deck)
@@ -324,7 +326,7 @@ def gen_counterexample(spec: CounterexampleSpec,
         data = DoubleCoverData(spec, conic, par, nu, p0, pbar, sections,
                                divisor, deck)
         _check_cover(data, big)
-        verdict = decide(divisor)
+        verdict = decide(divisor, table)
         if verdict.outcome != NOT_DEFINED or not verdict.fom.rationals_only():
             raise InternalInconsistency(
                 "generated divisor does not realize the obstruction")

@@ -17,11 +17,11 @@ from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
     hasse_solvable, hilbert_symbol
-from .divisor import AutGroup, Divisor, compute_aut, conjugate_divisor, \
-    conjugate_mobius
+from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
+    conjugate_divisor, conjugate_mobius
 from .errors import InternalInconsistency, ModelConstructionFailed, \
     NonElementaryGaloisQuotient, UnsupportedAut
-from .moduli import CompressedDivisor, CompressionResult, ModuliData, \
+from .moduli import CompressedDivisor, ModuliData, \
     cocycle_class_to_quaternion, compressed_divisor, compression, \
     descent_cocycle, field_of_moduli
 from .projline import Mobius
@@ -85,12 +85,13 @@ class Verdict:
         return f"Verdict({self.outcome}, aut={self.aut_class.label()})"
 
 
-def decide(d: Divisor) -> Verdict:
-    """Full pipeline: Aut, field of moduli, fast paths, then the conic."""
+def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
+    """Full pipeline: Aut, field of moduli, fast paths, then the conic.
+    Pass the TripleTable of D to reuse a scan already made."""
     if d.degree < 3:
         raise ValueError("need at least three points")
-    aut = compute_aut(d)
-    data = field_of_moduli(d, aut)
+    data = field_of_moduli(d, table)
+    aut = data.aut
     n = d.degree
     fom_tower = data.fom.tower
 
@@ -237,7 +238,7 @@ def build_p1_model(d: Divisor, data: ModuliData, point=None
     if len(h) == 1:
         return _rational_form(binary_form_coefficients(d)), \
             Mobius.identity(tower)
-    aut = compute_aut(d)
+    aut = data.aut
     if len(h) == 2:
         si = next(i for i in h if i != 0)
         sigma = data.group.elements[si]
@@ -444,14 +445,5 @@ def _verify_fast_path(d: Divisor, v: Verdict, cert: Certificate
     if rule == "n = 4":
         if d.degree != 4:
             return _fail("degree is not 4")
-        return VerifyResult(True)
-    if rule == "n = 6":
-        if d.degree != 6:
-            return _fail("degree is not 6")
-        return VerifyResult(True)
-    if rule == "cyclic-odd":
-        aut = compute_aut(d)
-        if not aut.is_cyclic() or aut.order % 2 == 0:
-            return _fail("Aut is not cyclic of odd order")
         return VerifyResult(True)
     return _fail(f"unknown fast path rule {rule}")

@@ -1,16 +1,18 @@
 """Reduced effective divisors on the projective line and their Mobius
 stabilizers.
 
-A divisor is a finite set of distinct points over one tower. The
-stabilizer Aut(P1, D) is found by exhausting ordered triples: an
-automorphism is pinned down by where it sends three points of D, so the
-n(n-1)(n-2) triple maps form a complete candidate list. The resulting
-groups are the classical finite Mobius groups and are classified by
-their element-order statistics.
+A divisor is a finite set of distinct points over one tower. A Mobius
+map is pinned down by where it sends three points, so one scan files
+all n(n-1)(n-2) ordered triples t of D by signature, the cross-ratios of
+the other points with t (TripleTable). The triples sharing the base
+triple's signature give Aut(P1, D), and a divisor is Mobius-equivalent
+to D exactly when its own signature is in the table. The groups are the
+classical finite Mobius groups, classified by element-order statistics.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -76,10 +78,6 @@ class Divisor:
 def conjugate_divisor(sigma: GaloisAut, d: Divisor) -> Divisor:
     """Apply a Galois automorphism to every coordinate of the divisor."""
     return Divisor(ProjPoint(sigma(p.x), sigma(p.y)) for p in d.points)
-
-
-def conjugate_point(sigma: GaloisAut, p: ProjPoint) -> ProjPoint:
-    return ProjPoint(sigma(p.x), sigma(p.y))
 
 
 def conjugate_mobius(sigma: GaloisAut, m: Mobius) -> Mobius:
@@ -230,8 +228,70 @@ def _classify(g: AutGroup) -> GroupTag:
         "finite Mobius group")
 
 
-def classify_group(g: AutGroup) -> GroupTag:
-    return g.tag
+# ---------------------------------------------------------------------------
+# the triple table
+# ---------------------------------------------------------------------------
+
+def ordered_triples(n: int):
+    """Index triples of distinct points in scan order, first index slowest."""
+    return permutations(range(n), 3)
+
+
+def _brackets(pts, rows):
+    """Rows i of the brackets [p_i, p_j] = x_i y_j - x_j y_i and of their
+    inverses, off the diagonal, for each i in rows."""
+    br = {i: [pts[i].x * q.y - q.x * pts[i].y for q in pts] for i in rows}
+    inv = {i: [b.inverse() if j != i else None for j, b in enumerate(r)]
+           for i, r in br.items()}
+    return br, inv
+
+
+def _cross_ratios(br, inv, t):
+    """N_t(p_k) for every k outside t = (a, b, c), lazily: the map
+    p -> [a, p][c, b] / ([a, b][c, p]) sends a, b, c to 0, 1, inf. Only
+    rows a and c of the brackets are read."""
+    a, b, c = t
+    ra, ic = br[a], inv[c]
+    scale = br[c][b] * inv[a][b]
+    return (ra[k] * ic[k] * scale for k in range(len(ra))
+            if k != a and k != b and k != c)
+
+
+def _base_signature(pts) -> frozenset:
+    """The signature of a point list at its first three points."""
+    return frozenset(_cross_ratios(*_brackets(pts, (0, 2)), (0, 1, 2)))
+
+
+class TripleTable:
+    """The ordered triples of a divisor, filed by signature in scan order,
+    and its stabilizer ``aut``. Built by one scan; not cached."""
+
+    __slots__ = ("divisor", "by_signature", "aut")
+
+    def __init__(self, d: Divisor):
+        if d.degree < 3:
+            raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
+        pts = d.points
+        br, inv = _brackets(pts, range(len(pts)))
+        by_sig: dict[frozenset, list[tuple[int, int, int]]] = {}
+        for t in ordered_triples(len(pts)):
+            by_sig.setdefault(frozenset(_cross_ratios(br, inv, t)),
+                              []).append(t)
+        self.divisor = d
+        self.by_signature = by_sig
+        # the base triple (0, 1, 2) comes first in scan order
+        self.aut = AutGroup(mobius_from_triples(*pts[:3], *(pts[k] for k in t))
+                            for t in next(iter(by_sig.values())))
+
+    def witness(self, e: Divisor) -> Optional[Mobius]:
+        """The map pgl2_equivalent(e, D) returns, found by one lookup: it
+        sends the first three points of e to the first triple in scan
+        order with the same signature."""
+        hits = self.by_signature.get(_base_signature(e.points))
+        if hits is None:
+            return None
+        pts = self.divisor.points
+        return mobius_from_triples(*e.points[:3], *(pts[k] for k in hits[0]))
 
 
 def compute_aut(d: Divisor) -> AutGroup:
@@ -240,53 +300,28 @@ def compute_aut(d: Divisor) -> AutGroup:
 
     Complete for stabilizer elements defined over that tower: any such
     map is determined by the ordered triple it sends the base triple to,
-    and all triples are tried.
+    and the table holds every triple.
     """
-    if d.degree < 3:
-        raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
-    pts = d.points
-    base = pts[:3]
-    found: list[Mobius] = []
-    seen: set = set()
-    for q1 in pts:
-        for q2 in pts:
-            if q2 == q1:
-                continue
-            for q3 in pts:
-                if q3 == q1 or q3 == q2:
-                    continue
-                m = mobius_from_triples(base[0], base[1], base[2], q1, q2, q3)
-                key = _mobius_key(m)
-                if key in seen:
-                    continue
-                if all(m(p) in d for p in pts):
-                    seen.add(key)
-                    found.append(m)
-    return AutGroup(found)
+    return TripleTable(d).aut
 
 
 def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
     """Some Mobius map with M(d1) = d2, or None.
 
-    Searches images of a fixed triple of d1 over ordered triples of d2;
-    complete over the common tower by the same triple-determination
-    argument as compute_aut.
+    Stops at the first ordered triple of d2 whose signature is that of
+    d1 at its first three points; complete over the common tower by the
+    same triple-determination argument as compute_aut.
     """
     if d1.tower != d2.tower:
         raise ValueError("divisors live in different towers")
-    if d1.degree != d2.degree:
+    if d1.degree != d2.degree or d1.degree < 3:
         return None
-    base = d1.points[:3]
-    for q1 in d2.points:
-        for q2 in d2.points:
-            if q2 == q1:
-                continue
-            for q3 in d2.points:
-                if q3 == q1 or q3 == q2:
-                    continue
-                m = mobius_from_triples(base[0], base[1], base[2], q1, q2, q3)
-                if all(m(p) in d2 for p in d1.points):
-                    return m
+    target = _base_signature(d1.points)
+    br, inv = _brackets(d2.points, range(d2.degree))
+    for t in ordered_triples(d2.degree):
+        if all(v in target for v in _cross_ratios(br, inv, t)):
+            return mobius_from_triples(*d1.points[:3],
+                                       *(d2.points[k] for k in t))
     return None
 
 

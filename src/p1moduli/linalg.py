@@ -72,10 +72,6 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of the right kernel {v : m v = 0}."""
     if not m:
@@ -108,15 +104,6 @@ def solve(m: Matrix, b: Vector) -> Vector | None:
     for r, pc in enumerate(pivots):
         x[pc] = a[r][cols]
     return x
-
-
-def mat_inv(m: Matrix) -> Matrix | None:
-    n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
-    a, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in a]
 
 
 def det(m: Matrix) -> Fraction:

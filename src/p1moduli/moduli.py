@@ -4,6 +4,7 @@ The field of moduli of (P1, D) is the fixed field of the subgroup H of
 Galois elements sigma for which sigma(D) is Mobius-equivalent to D. A
 witness cochain phi_sigma with phi_sigma(sigma(D)) = D realizes the
 descent data; its coboundary defect is a 2-cocycle valued in Aut(P1, D).
+Aut and every witness come from the one triple table of D.
 
 For cyclic Aut of order m the quotient by Aut is computed literally: a
 generator is conjugated to w -> zeta w by sending its fixed points to 0
@@ -27,10 +28,10 @@ from .conic import TernaryForm
 from .divisor import (
     AutGroup,
     Divisor,
+    TripleTable,
     compute_aut,
     conjugate_divisor,
     conjugate_mobius,
-    pgl2_equivalent,
 )
 from .errors import (
     DescentFailure,
@@ -54,33 +55,42 @@ F = Fraction
 
 
 class ModuliData:
-    """The subgroup H, the witness cochain, and the field of moduli."""
+    """H, the witness cochain, the field of moduli and Aut(P1, D)."""
 
-    __slots__ = ("group", "h_indices", "cochain", "fom", "fom_is_q", "divisor")
+    __slots__ = ("group", "h_indices", "cochain", "fom", "fom_is_q", "divisor",
+                 "aut")
 
     def __init__(self, group: GaloisGroup, h_indices: tuple[int, ...],
                  cochain: dict[int, Mobius], fom: SubfieldPresentation,
-                 divisor: Divisor):
+                 divisor: Divisor, aut: Optional[AutGroup] = None):
         self.group = group
         self.h_indices = h_indices
         self.cochain = cochain
         self.fom = fom
         self.fom_is_q = fom.tower.level == 0
         self.divisor = divisor
+        self.aut = compute_aut(divisor) if aut is None else aut
 
     def __repr__(self) -> str:
         return (f"ModuliData(|H|={len(self.h_indices)}, "
                 f"fom_degree={self.fom.tower.degree})")
 
 
-def field_of_moduli(d: Divisor, aut: Optional[AutGroup] = None) -> ModuliData:
+def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
+                    ) -> ModuliData:
     """H = {sigma : sigma(D) ~ D}, one equivalence witness per element,
     and the fixed field of H.
 
-    Cosets are eliminated in blocks: once sigma is known to lie outside
-    H, so does its entire coset sigma H; witnesses for products come from
-    composing known witnesses instead of searching again.
+    Each witness is one lookup in the triple table of D (built here
+    unless given). Cosets are eliminated in blocks: once sigma is known
+    to lie outside H, so does its entire coset sigma H; witnesses for
+    products come from composing known witnesses instead of looking up
+    again. The result carries the table's Aut.
     """
+    if table is None:
+        table = TripleTable(d)
+    elif table.divisor != d:
+        raise ValueError("triple table of another divisor")
     group = galois_group(d.tower)
     n = group.order
     cochain: dict[int, Mobius] = {0: Mobius.identity(d.tower)}
@@ -89,7 +99,7 @@ def field_of_moduli(d: Divisor, aut: Optional[AutGroup] = None) -> ModuliData:
         if i in cochain or i in not_in_h:
             continue
         sigma = group.elements[i]
-        witness = pgl2_equivalent(conjugate_divisor(sigma, d), d)
+        witness = table.witness(conjugate_divisor(sigma, d))
         if witness is None:
             not_in_h.update(group.table[i][j] for j in cochain)
             continue
@@ -115,7 +125,7 @@ def field_of_moduli(d: Divisor, aut: Optional[AutGroup] = None) -> ModuliData:
         if img != d:
             raise InternalInconsistency("witness does not carry sigma(D) to D")
     fom = fixed_subtower(group, h)
-    return ModuliData(group, h, cochain, fom, d)
+    return ModuliData(group, h, cochain, fom, d, table.aut)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +156,14 @@ def descent_cocycle(data: ModuliData, d: Optional[Divisor] = None,
                     check_identity: bool = True) -> Cocycle:
     """c_{sigma,tau} = phi_sigma o sigma(phi_tau) o phi_{sigma tau}^-1.
 
-    Each value is verified to stabilize D; the twisted 2-cocycle identity
-    is asserted exactly over all of H^3 unless disabled.
+    Each value is verified to lie in Aut(P1, D) (from ``data`` unless
+    another divisor is passed), so it stabilizes D; the twisted 2-cocycle
+    identity is asserted exactly over all of H^3 unless disabled, by
+    lookups in the multiplication table of Aut.
     """
-    if d is None:
-        d = data.divisor
-    group = data.group
-    h = data.h_indices
-    phi = data.cochain
+    aut = data.aut if d is None or d == data.divisor else compute_aut(d)
+    pos = {a: k for k, a in enumerate(aut.elements)}
+    group, h, phi = data.group, data.h_indices, data.cochain
     values: dict[tuple[int, int], Mobius] = {}
     for i in h:
         si = group.elements[i]
@@ -161,23 +171,27 @@ def descent_cocycle(data: ModuliData, d: Optional[Divisor] = None,
             ij = group.table[i][j]
             c = phi[i].compose(conjugate_mobius(si, phi[j])) \
                 .compose(phi[ij].inverse())
-            if d.apply(c) != d:
+            if c not in pos:
                 raise InternalInconsistency("cocycle value moves the divisor")
             values[(i, j)] = c
     coc = Cocycle(values, h, group)
     if check_identity:
+        idx = {key: pos[c] for key, c in values.items()}
+        # the twist a -> phi_i o sigma_i(a) o phi_i^-1, a permutation of Aut
+        twist = {}
         for i in h:
-            si = group.elements[i]
+            si, back = group.elements[i], phi[i].inverse()
+            twist[i] = [pos.get(phi[i].compose(conjugate_mobius(si, a))
+                                .compose(back)) for a in aut.elements]
+            if None in twist[i]:
+                raise InternalInconsistency("twisted Aut element leaves Aut")
+        for i in h:
             for j in h:
                 ij = group.table[i][j]
                 for k in h:
                     jk = group.table[j][k]
-                    lhs = values[(i, j)].compose(values[(ij, k)])
-                    twisted = phi[i].compose(
-                        conjugate_mobius(si, values[(j, k)])).compose(
-                        phi[i].inverse())
-                    rhs = twisted.compose(values[(i, jk)])
-                    if lhs != rhs:
+                    if aut.table[idx[(i, j)]][idx[(ij, k)]] != \
+                            aut.table[twist[i][idx[(j, k)]]][idx[(i, jk)]]:
                         raise InternalInconsistency("2-cocycle identity fails")
     return coc
 
@@ -312,7 +326,7 @@ def compression(d: Divisor, data: ModuliData,
     target is descended through the exact symmetric-square cocycle.
     """
     if aut is None:
-        aut = compute_aut(d)
+        aut = data.aut
     if not aut.is_cyclic():
         raise NonCyclicAut("compression implemented for cyclic Aut only")
     m = aut.order

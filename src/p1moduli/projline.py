@@ -10,7 +10,6 @@ hashing canonical.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import (
@@ -20,9 +19,7 @@ from .errors import (
     UnsupportedCyclotomy,
 )
 from .intmath import factorint
-from .qfield import FieldElem, FieldTower, Scalar, tower_extend
-
-_ZERO = Fraction(0)
+from .qfield import FieldElem, FieldTower, tower_extend
 
 
 class ProjPoint:
@@ -156,11 +153,6 @@ class Mobius:
                          self.c * p.x + self.d * p.y)
 
     __call__ = apply
-
-    def apply_affine(self, z: Scalar) -> ProjPoint:
-        if isinstance(z, (int, Fraction)):
-            z = self.tower.from_rational(Fraction(z))
-        return self.apply(ProjPoint.finite(z))
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other."""

@@ -275,7 +275,7 @@ def test_criterion_06_symbols_match_conic(counterexample_batch):
     for d in instances:
         aut = compute_aut(d)
         assert aut.order == 2 and aut.is_cyclic()
-        data = field_of_moduli(d, aut)
+        data = field_of_moduli(d)
         assert data.fom_is_q
         symbols = cocycle_class_to_quaternion(descent_cocycle(data, d), data)
         comp = compression(d, data, aut)
@@ -362,7 +362,7 @@ def test_criterion_08_ramification_ledger(counterexample_batch):
         d = three_orbits(Mobius.from_rationals(QQ, *entries), order)
         aut = compute_aut(d)
         assert aut.is_cyclic() and aut.order == order
-        data = field_of_moduli(d, aut)
+        data = field_of_moduli(d)
         instances.append((aut, compression(d, data, aut)))
 
     for aut, comp in instances:
@@ -424,7 +424,7 @@ def test_criterion_10_exact_model_reconstruction():
         aut = compute_aut(d)
         if not aut.is_cyclic():
             continue
-        data = field_of_moduli(d, aut)
+        data = field_of_moduli(d)
         if not data.fom_is_q or len(data.h_indices) > 2:
             continue
         comp = compression(d, data, aut)

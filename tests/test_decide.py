@@ -246,6 +246,32 @@ def test_fast_path_rule_mismatch_detected():
     assert not res and "odd" in res.reason
 
 
+def test_dead_fast_path_rules_rejected():
+    # decide never emits these rules, so a certificate claiming one is forged
+    for rule, d in (("n = 6", rational_divisor(1, 2, -1, -2, 3, F(2, 3))),
+                    ("cyclic-odd", rational_divisor(1, 2, 3, 4, 5))):
+        v = decide(d)
+        v.certificate = Certificate("fast_path", rule=rule)
+        res = verify_certificate(d, v)
+        assert not res and "unknown fast path rule" in res.reason
+
+
+def test_decide_scans_the_triples_once(monkeypatch):
+    divisor_mod = importlib.import_module("p1moduli.divisor")
+    calls = []
+    scan = divisor_mod.ordered_triples
+
+    def counted(n):
+        calls.append(n)
+        return scan(n)
+
+    monkeypatch.setattr(divisor_mod, "ordered_triples", counted)
+    d = obstructed_eight()
+    v = decide(d)
+    assert v.outcome == NOT_DEFINED and v.certificate.symbols
+    assert calls == [d.degree]
+
+
 def test_fake_failing_place_detected():
     d = obstructed_eight()
     v = decide(d)

@@ -1,19 +1,22 @@
 # tests/test_divisor.py
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from p1moduli.construct import CounterexampleSpec, gen_counterexample
 from p1moduli.divisor import (
     AutGroup,
     Divisor,
+    TripleTable,
     compute_aut,
     conjugate_divisor,
     orbit_structure,
     pgl2_equivalent,
 )
 from p1moduli.errors import DegreeTooSmall
-from p1moduli.projline import Mobius, ProjPoint
+from p1moduli.projline import Mobius, ProjPoint, mobius_from_triples
 from p1moduli.qfield import FieldTower, galois_group, multiquadratic_tower
 
 F = Fraction
@@ -300,3 +303,156 @@ def test_orbit_sizes_divide_group_order():
     assert sum(len(o) for o in orbits) == d.degree
     for o in orbits:
         assert g.order % len(o) == 0
+
+
+# ---------------------------------------------------------
+# the triple table against the exhaustive searches it replaced
+# ---------------------------------------------------------
+
+def _mobius_key(m):
+    return tuple(e.sort_key() for e in m.entries())
+
+
+def oracle_aut(d):
+    """Every map sending the base triple to some ordered triple of D
+    that carries D into itself, in scan order."""
+    pts = d.points
+    found, seen = [], set()
+    for q1 in pts:
+        for q2 in pts:
+            if q2 == q1:
+                continue
+            for q3 in pts:
+                if q3 == q1 or q3 == q2:
+                    continue
+                m = mobius_from_triples(pts[0], pts[1], pts[2], q1, q2, q3)
+                key = _mobius_key(m)
+                if key not in seen and all(m(p) in d for p in pts):
+                    seen.add(key)
+                    found.append(m)
+    return found
+
+
+def oracle_equivalent(d1, d2):
+    """The first map, in scan order of the triples of d2, with M(d1) = d2."""
+    if d1.degree != d2.degree:
+        return None
+    base = d1.points[:3]
+    for q1 in d2.points:
+        for q2 in d2.points:
+            if q2 == q1:
+                continue
+            for q3 in d2.points:
+                if q3 == q1 or q3 == q2:
+                    continue
+                m = mobius_from_triples(*base, q1, q2, q3)
+                if all(m(p) in d2 for p in d1.points):
+                    return m
+    return None
+
+
+def random_tower_divisor(rng, tower, degree, with_inf=False):
+    vals = set()
+    while len(vals) < degree - with_inf:
+        vals.add(tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
+                       for _ in range(tower.degree)))
+    pts = [ProjPoint.finite(tower.element(list(v))) for v in sorted(vals)]
+    if with_inf:
+        pts.append(inf(tower))
+    return Divisor(pts)
+
+
+def sqrt2_six_c2():
+    # three free orbits of z -> 2/z over Q(sqrt 2); Aut is C2
+    t = multiquadratic_tower([2])
+    r = t.root(0)
+    vals = [r * 3, -r * 3, r / 3, -r / 3, t.one(), t.from_rational(2)]
+    return Divisor([ProjPoint.finite(v) for v in vals])
+
+
+def table_cases():
+    rng = random.Random(20261018)
+    levels = [Q, multiquadratic_tower([2]), multiquadratic_tower([2, 3]),
+              multiquadratic_tower([-1, 2, 3])]
+    cases = [rational_divisor([0, 1, -1], with_inf=True),
+             rational_divisor([0, 1, -1, F(5, 3), F(-5, 3)], with_inf=True),
+             sqrt2_six_c2()]
+    for level, tower in enumerate(levels):
+        for degree in (3, 4, 6) if level < 3 else (5,):
+            cases.append(random_tower_divisor(rng, tower, degree,
+                                              with_inf=degree % 2 == 0))
+    return cases
+
+
+@functools.lru_cache(maxsize=1)
+def counterexample_divisor():
+    data, _ = gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
+    return data.divisor
+
+
+def assert_table_matches_oracle(d):
+    table = TripleTable(d)
+    found = oracle_aut(d)
+    assert table.aut.elements == AutGroup(found).elements
+    assert set(table.aut.elements) == set(found)
+    for sigma in galois_group(d.tower).elements:
+        moved = conjugate_divisor(sigma, d)
+        assert table.witness(moved) == oracle_equivalent(moved, d)
+    return table
+
+
+def test_table_aut_and_witnesses_match_oracle():
+    for d in table_cases():
+        assert_table_matches_oracle(d)
+
+
+def test_table_on_counterexample_divisor():
+    d = counterexample_divisor()
+    assert d.tower.level == 3
+    table = assert_table_matches_oracle(d)
+    assert table.aut.order == 2
+    # every sigma has a witness: the field of moduli is Q
+    group = galois_group(d.tower)
+    assert all(table.witness(conjugate_divisor(s, d)) is not None
+               for s in group.elements)
+
+
+def test_degree_six_c2_table():
+    d = sqrt2_six_c2()
+    table = assert_table_matches_oracle(d)
+    assert table.aut.tag.label() == "cyclic(2)"
+    assert Mobius(d.tower.zero(), d.tower.from_rational(2), d.tower.one(),
+                  d.tower.zero()) in table.aut
+
+
+def test_table_witness_for_moved_and_foreign_divisors():
+    rng = random.Random(618)
+    for d in table_cases():
+        table = TripleTable(d)
+        m = Mobius(*(d.tower.element([F(rng.randint(-3, 3))
+                                      for _ in range(d.tower.degree)])
+                     for _ in range(2)),
+                   d.tower.one(), d.tower.from_rational(7))
+        moved = d.apply(m)
+        w = table.witness(moved)
+        assert w == oracle_equivalent(moved, d)
+        assert moved.apply(w) == d
+        other = random_tower_divisor(rng, d.tower, d.degree)
+        assert table.witness(other) == oracle_equivalent(other, d)
+
+
+def test_pgl2_equivalent_matches_oracle():
+    rng = random.Random(4242)
+    for d in table_cases():
+        for _ in range(2):
+            m = random_mobius(rng, d.tower)
+            e = d.apply(m)
+            assert pgl2_equivalent(d, e) == oracle_equivalent(d, e)
+            assert pgl2_equivalent(e, d) == oracle_equivalent(e, d)
+        other = random_tower_divisor(rng, d.tower, d.degree)
+        assert pgl2_equivalent(d, other) == oracle_equivalent(d, other)
+
+
+def test_table_requires_three_points():
+    with pytest.raises(DegreeTooSmall):
+        TripleTable(rational_divisor([0, 1]))

@@ -4,8 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from p1moduli.conic import find_point, hilbert_symbol
-from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
+from p1moduli.divisor import (
+    Divisor,
+    compute_aut,
+    conjugate_divisor,
+    conjugate_mobius,
+)
 from p1moduli.errors import (
+    InternalInconsistency,
     NonCyclicAut,
     NonElementaryGaloisQuotient,
     UnsupportedAut,
@@ -137,6 +143,41 @@ def test_cocycle_values_stabilize_divisor():
         assert d.apply(v) == d
 
 
+def test_cocycle_identity_agrees_with_mobius_form():
+    # the table lookups accept what composing the maps themselves accepts;
+    # conjugation acts on Aut = C4 by inversion, and the coboundary of
+    # any Aut-adjusted cochain is a cocycle, so phi_id = g gives values
+    # g and g^-1 that pass only when the twist is applied
+    d = q_i_pentagon()
+    data = field_of_moduli(d)
+    assert data.aut.order == 4
+    g = data.aut.elements[data.aut.orders.index(4)]
+    group, h, phi = data.group, data.h_indices, data.cochain
+    for phi_id in (phi[0], g):
+        phi[0] = phi_id
+        c = descent_cocycle(data).values
+        for i in h:
+            si = group.elements[i]
+            for j in h:
+                for k in h:
+                    lhs = c[(i, j)].compose(c[(group.table[i][j], k)])
+                    twisted = phi[i].compose(conjugate_mobius(si, c[(j, k)])) \
+                        .compose(phi[i].inverse())
+                    assert lhs == twisted.compose(c[(i, group.table[j][k])])
+    assert {c[(0, 0)], c[(1, 0)]} == {g, g.inverse()}
+
+
+def test_cochain_value_outside_aut_detected():
+    d = biquadratic_five_points()
+    data = field_of_moduli(d)
+    shift = Mobius.from_rationals(d.tower, 1, 1, 0, 1)  # z -> z + 1
+    assert shift not in data.aut
+    i = data.h_indices[1]
+    data.cochain[i] = shift.compose(data.cochain[i])
+    with pytest.raises(InternalInconsistency, match="moves the divisor"):
+        descent_cocycle(data)
+
+
 # ---------------------------------------------------------------------------
 # compression
 # ---------------------------------------------------------------------------
@@ -145,7 +186,7 @@ def test_compression_order_four_pentagon():
     d = q_i_pentagon()
     aut = compute_aut(d)
     assert aut.tag.label() == "cyclic(4)"
-    data = field_of_moduli(d, aut)
+    data = field_of_moduli(d)
     comp = compression(d, data, aut)
     assert comp.m == 4
     one = comp.tower2.one()
@@ -158,7 +199,7 @@ def test_compression_extends_tower_for_irrational_fixed_points():
     d = rational_involution_six()
     aut = compute_aut(d)
     assert aut.order == 2
-    data = field_of_moduli(d, aut)
+    data = field_of_moduli(d)
     comp = compression(d, data, aut)
     assert d.tower.level == 0 and comp.tower2.level == 1
     assert comp.h2_group.order == 2
@@ -258,7 +299,7 @@ def test_compressed_points_lie_on_conic():
 def test_compressed_degree_count_matches_orbits():
     d = rational_involution_six()
     aut = compute_aut(d)
-    data = field_of_moduli(d, aut)
+    data = field_of_moduli(d)
     comp = compression(d, data, aut)
     cd = compressed_divisor(d, data, comp)
     # three <2/z>-orbits of size two, each rational as a point downstairs
