@@ -27,6 +27,7 @@ from .intmath import (
     crt,
     factorint,
     fraction_sqrt,
+    primitive_scale,
     sqrt_mod_prime,
     squarefree_part,
 )
@@ -44,10 +45,8 @@ class TernaryForm:
 
     def __init__(self, gram: Sequence[Sequence[Fraction]]):
         g = [[Fraction(gram[i][j]) for j in range(3)] for i in range(3)]
-        for i in range(3):
-            for j in range(3):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if g != linalg.transpose(g):
+            raise ValueError("Gram matrix must be symmetric")
         self.gram = tuple(tuple(row) for row in g)
 
     @staticmethod
@@ -73,31 +72,17 @@ class TernaryForm:
         return [g[0][0], 2 * g[0][1], 2 * g[0][2], g[1][1], 2 * g[1][2], g[2][2]]
 
     def det(self) -> Fraction:
-        return linalg.det([list(r) for r in self.gram])
+        return linalg.det(self.gram)
 
     def is_nonsingular(self) -> bool:
         return self.det() != 0
 
     def evaluate(self, point: Sequence[Coord]):
-        x0, x1, x2 = point
-        g = self.gram
-        acc = None
-        for i, xi in enumerate((x0, x1, x2)):
-            for j, xj in enumerate((x0, x1, x2)):
-                term = xi * xj * g[i][j]
-                acc = term if acc is None else acc + term
-        return acc
+        return self.polar(point, point)
 
     def polar(self, p: Sequence[Coord], q: Sequence[Coord]):
-        """The symmetric bilinear form B(p, q) with B(x, x) = f(x)."""
-        g = self.gram
-        acc = None
-        for i in range(3):
-            for j in range(3):
-                if g[i][j]:
-                    term = p[i] * q[j] * g[i][j]
-                    acc = term if acc is None else acc + term
-        return acc
+        """The symmetric bilinear form B(p, q) = p^T G q, so B(x, x) = f(x)."""
+        return linalg.dot(p, linalg.mat_vec(self.gram, q))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TernaryForm) and self.gram == other.gram
@@ -328,14 +313,8 @@ def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
 
 
 def _normalize_int_point(coords: Sequence[Fraction]) -> tuple[int, int, int]:
-    den = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * den) for c in coords]
-    g = math.gcd(math.gcd(ints[0], ints[1]), ints[2])
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return (ints[0], ints[1], ints[2])
+    s = primitive_scale(coords)
+    return tuple(int(c * s) for c in coords)
 
 
 def _coprime_reduce(a: int, b: int, c: int, factor_bound: int

@@ -23,6 +23,7 @@ from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
 from .intmath import squarefree_part
+from .linalg import cross, det, proportional
 from .projline import Mobius, ProjPoint, mobius_from_triples, \
     mobius_order_and_fixed, zero_point
 from .qfield import FieldElem, FieldTower, galois_group, tower_extend
@@ -117,14 +118,6 @@ class Deg6Form:
 # conic sections and parametrization bookkeeping
 # ---------------------------------------------------------------------------
 
-def _proportional3(u: Sequence, v: Sequence) -> bool:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
-                return False
-    return True
-
-
 def _param_of_point(par: Parametrization, pt: Sequence) -> ProjPoint:
     """The parameter (s : t) whose image is proportional to pt.
 
@@ -156,7 +149,7 @@ def _param_of_point(par: Parametrization, pt: Sequence) -> ProjPoint:
             else:
                 continue
             for r in roots:
-                if _proportional3(par.apply(r.x, r.y), pt):
+                if proportional(par.apply(r.x, r.y), pt):
                     return r
     raise InternalInconsistency("point is not in the parametrized image")
 
@@ -210,20 +203,18 @@ def line_section_divisor(form: TernaryForm, line: Sequence[Fraction]
             pts.append(tuple(s * p0[c] + p1[c] for c in range(3)))
     for pt in pts:
         val = form.evaluate(pt)
-        if not (val.is_zero() if hasattr(val, "is_zero") else val == 0):
+        if val:
             raise InternalInconsistency("section point misses the conic")
     return tower, tuple(pts)
 
 
 def _rational_line_through(p: Sequence, q: Sequence) -> tuple:
     """The line through two conjugate points, verified rational."""
-    cross = (p[1] * q[2] - p[2] * q[1],
-             p[2] * q[0] - p[0] * q[2],
-             p[0] * q[1] - p[1] * q[0])
-    lead = next((v for v in cross if not v.is_zero()), None)
+    line = cross(p, q)
+    lead = next((v for v in line if v), None)
     if lead is None:
         raise InternalInconsistency("points coincide; no unique line")
-    scaled = [v / lead for v in cross]
+    scaled = [v / lead for v in line]
     out = []
     for v in scaled:
         if not v.is_rational():
@@ -427,7 +418,7 @@ def _assemble_sections(conic, par, nu, sig, ta, alpha, a, b, rads, cs,
         tower, pts = line_section_divisor(conic, line)
         if tower != ta:
             raise InternalInconsistency("section pair over unexpected field")
-        recovered = all(any(_proportional3(x, y) for y in (e, ebar))
+        recovered = all(any(proportional(x, y) for y in (e, ebar))
                         for x in pts)
         if not recovered:
             raise InternalInconsistency("line section does not recover the "
@@ -451,14 +442,14 @@ def _check_cover(data: DoubleCoverData, big: FieldTower):
     e_img = [tuple(big.embed(c) for c in pt) for pt in data.section_points]
     for z in data.divisor.points:
         img = data.cover(z)
-        if not any(_proportional3(img, e) for e in e_img):
+        if not any(proportional(img, e) for e in e_img):
             raise InternalInconsistency("divisor point does not lie over E")
     p_img = tuple(big.embed(c) for c in data.p)
     pbar_img = tuple(big.embed(c) for c in data.pbar)
     over_p = data.cover(ProjPoint.finite(big.zero()))
     over_pbar = data.cover(ProjPoint.infinity(big))
-    if not (_proportional3(over_p, p_img)
-            and _proportional3(over_pbar, pbar_img)):
+    if not (proportional(over_p, p_img)
+            and proportional(over_pbar, pbar_img)):
         raise InternalInconsistency("cover must ramify exactly over the "
                                     "conjugate pair")
 
@@ -617,12 +608,9 @@ def random_twisted_divisor(n: int, tower: FieldTower, seed: int = 0
         entries = [tower.element([F(rng.randint(-4, 4))
                                   for _ in range(tower.degree)])
                    for _ in range(4)]
-        m = Mobius(*entries) if not (entries[0] * entries[3]
-                                     - entries[1] * entries[2]).is_zero() \
-            else None
-        if m is not None:
+        if det([entries[:2], entries[2:]]):
             break
-    twisted = base.apply(m)
+    twisted = base.apply(Mobius(*entries))
     from .moduli import field_of_moduli
     if not field_of_moduli(twisted).fom_is_q:
         raise InternalInconsistency("twisting must preserve the field of "

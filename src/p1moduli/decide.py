@@ -21,6 +21,8 @@ from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
     conjugate_divisor, conjugate_mobius
 from .errors import InternalInconsistency, ModelConstructionFailed, \
     NonElementaryGaloisQuotient, UnsupportedAut
+from .intmath import primitive_scale
+from .linalg import det, identity, mat_add, mat_map, mat_mul
 from .moduli import CompressedDivisor, ModuliData, \
     cocycle_class_to_quaternion, compressed_divisor, compression, \
     descent_cocycle, field_of_moduli
@@ -65,21 +67,36 @@ class Certificate:
 
 
 class Verdict:
-    __slots__ = ("outcome", "fom", "aut_class", "certificate", "divisor",
-                 "aut", "moduli", "compression", "compressed", "notes")
+    """An outcome with its certificate; the divisor, its Aut and the
+    field of moduli are read from ``moduli``."""
 
-    def __init__(self, outcome, fom, aut_class, certificate, divisor, aut,
-                 moduli, comp=None, compressed=None, notes=()):
+    __slots__ = ("outcome", "certificate", "moduli", "compression",
+                 "compressed", "notes")
+
+    def __init__(self, outcome, certificate, moduli: ModuliData, comp=None,
+                 compressed=None, notes=()):
         self.outcome = outcome
-        self.fom = fom
-        self.aut_class = aut_class
         self.certificate = certificate
-        self.divisor = divisor
-        self.aut = aut
         self.moduli = moduli
         self.compression = comp
         self.compressed = compressed
         self.notes = tuple(notes)
+
+    @property
+    def divisor(self) -> Divisor:
+        return self.moduli.divisor
+
+    @property
+    def aut(self) -> AutGroup:
+        return self.moduli.aut
+
+    @property
+    def aut_class(self):
+        return self.moduli.aut.tag
+
+    @property
+    def fom(self):
+        return self.moduli.fom.tower
 
     def __repr__(self) -> str:
         return f"Verdict({self.outcome}, aut={self.aut_class.label()})"
@@ -93,12 +110,10 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
     data = field_of_moduli(d, table)
     aut = data.aut
     n = d.degree
-    fom_tower = data.fom.tower
 
     def fast(rule: str, notes=()) -> Verdict:
-        cert = Certificate("fast_path", rule=rule)
-        return Verdict(DEFINED_ON_P1, fom_tower, aut.tag, cert, d, aut, data,
-                       notes=notes)
+        return Verdict(DEFINED_ON_P1, Certificate("fast_path", rule=rule),
+                       data, notes=notes)
 
     if not aut.is_cyclic():
         return fast("noncyclic")
@@ -110,11 +125,10 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
     if not data.fom_is_q:
         notes = ["local analysis implemented over Q only; the field of "
                  "moduli is a proper extension"]
-        comp = compression(d, data, aut)
-        return Verdict(UNSUPPORTED_BASE, fom_tower, aut.tag, None, d, aut,
-                       data, comp=comp, notes=notes)
+        return Verdict(UNSUPPORTED_BASE, None, data,
+                       comp=compression(d, data), notes=notes)
 
-    comp = compression(d, data, aut)
+    comp = compression(d, data)
     solvable, failing = hasse_solvable(comp.conic)
     m = aut.order
     if solvable:
@@ -128,8 +142,7 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
                                conic=comp.conic, point=point)
         except ModelConstructionFailed:
             cert = Certificate("conic_point", conic=comp.conic, point=point)
-        verdict = Verdict(DEFINED_ON_P1, fom_tower, aut.tag, cert, d, aut,
-                          data, comp=comp)
+        verdict = Verdict(DEFINED_ON_P1, cert, data, comp=comp)
     else:
         cd = compressed_divisor(d, data, comp)
         if not cd.all_degrees_even():
@@ -137,19 +150,19 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
                 "pointless conic with an odd-degree orbit")
         if m % 2 == 0:
             try:
-                coc = descent_cocycle(data, d)
+                coc = descent_cocycle(data)
                 symbols = cocycle_class_to_quaternion(coc, data)
             except (UnsupportedAut, NonElementaryGaloisQuotient):
                 symbols = None
             cert = Certificate("obstruction", conic=comp.conic,
                                failing=failing, symbols=symbols)
-            verdict = Verdict(NOT_DEFINED, fom_tower, aut.tag, cert, d, aut,
-                              data, comp=comp, compressed=cd)
+            verdict = Verdict(NOT_DEFINED, cert, data, comp=comp,
+                              compressed=cd)
         else:
             cert = Certificate("conic_model", conic=comp.conic,
                                compressed=cd, failing=failing)
-            verdict = Verdict(DEFINED_ON_CONIC, fom_tower, aut.tag, cert, d,
-                              aut, data, comp=comp, compressed=cd)
+            verdict = Verdict(DEFINED_ON_CONIC, cert, data, comp=comp,
+                              compressed=cd)
 
     if verdict.outcome == NOT_DEFINED:
         if not aut.is_cyclic_even():
@@ -169,26 +182,6 @@ def _mobius_matrix(m: Mobius):
     return [[a, b], [c, d]]
 
 
-def _mat2_mul(x, y):
-    return [[x[0][0] * y[0][0] + x[0][1] * y[1][0],
-             x[0][0] * y[0][1] + x[0][1] * y[1][1]],
-            [x[1][0] * y[0][0] + x[1][1] * y[1][0],
-             x[1][0] * y[0][1] + x[1][1] * y[1][1]]]
-
-
-def _mat2_aut(sigma, x):
-    return [[sigma(x[0][0]), sigma(x[0][1])],
-            [sigma(x[1][0]), sigma(x[1][1])]]
-
-
-def _mat2_add(x, y):
-    return [[x[i][j] + y[i][j] for j in range(2)] for i in range(2)]
-
-
-def _mat2_scale(c, x):
-    return [[c * x[i][j] for j in range(2)] for i in range(2)]
-
-
 def binary_form_coefficients(d: Divisor) -> list:
     """Coefficients of prod (y_i X - x_i Y), highest X-power first."""
     one = d.tower.one()
@@ -202,24 +195,13 @@ def binary_form_coefficients(d: Divisor) -> list:
 
 
 def _rational_form(coeffs) -> list[Fraction]:
-    import math
     out = []
     for c in coeffs:
         if not c.is_rational():
             raise InternalInconsistency("form coefficient is irrational")
         out.append(c.as_fraction())
-    den = 1
-    for c in out:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in out]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    g = g or 1
-    lead = next((v for v in ints if v), 1)
-    if lead < 0:
-        g = -g
-    return [F(v, g) for v in ints]
+    s = primitive_scale(out)
+    return [c * s for c in out]
 
 
 def build_p1_model(d: Divisor, data: ModuliData, point=None
@@ -248,7 +230,7 @@ def build_p1_model(d: Divisor, data: ModuliData, point=None
             if not cand.compose(conjugate_mobius(sigma, cand)).is_identity():
                 continue
             p = _mobius_matrix(cand)
-            k = _mat2_mul(p, _mat2_aut(sigma, p))
+            k = mat_mul(p, mat_map(sigma, p))
             lam = k[0][0]
             if k[0][1] or k[1][0] or k[0][0] != k[1][1]:
                 raise InternalInconsistency("projective identity not scalar")
@@ -261,10 +243,8 @@ def build_p1_model(d: Divisor, data: ModuliData, point=None
                 continue
             x, y, z = sol
             c = tower.element([F(x, z), F(y, z)])
-            p = _mat2_scale(c, p)
-            k = _mat2_mul(p, _mat2_aut(sigma, p))
-            if k[0][1] or k[1][0] or k[0][0] != tower.one() \
-                    or k[1][1] != tower.one():
+            p = mat_map(lambda e: c * e, p)
+            if mat_mul(p, mat_map(sigma, p)) != identity(2):
                 raise InternalInconsistency("scalar repair failed")
             b = _find_invertible(p, sigma, tower)
             mob = Mobius(b[0][0], b[0][1], b[1][0], b[1][1])
@@ -291,9 +271,8 @@ def _find_invertible(p, sigma, tower):
                                        for _ in range(tower.degree)])
                         for _ in range(2)] for _ in range(2)])
     for a in trials:
-        b = _mat2_add(a, _mat2_mul(p, _mat2_aut(sigma, a)))
-        det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-        if not det.is_zero():
+        b = mat_add(a, mat_mul(p, mat_map(sigma, a)))
+        if det(b):
             return b
     raise InternalInconsistency("no invertible averaging matrix found")
 
@@ -330,10 +309,9 @@ def _best_effort_model(d: Divisor, data: ModuliData, aut: AutGroup):
             b = None
             for i in data.h_indices:
                 si = group.elements[i]
-                term = _mat2_mul(_mobius_matrix(cand[i]), _mat2_aut(si, a))
-                b = term if b is None else _mat2_add(b, term)
-            det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-            if det.is_zero():
+                term = mat_mul(_mobius_matrix(cand[i]), mat_map(si, a))
+                b = term if b is None else mat_add(b, term)
+            if not det(b):
                 continue
             mob = Mobius(b[0][0], b[0][1], b[1][0], b[1][1])
             d0 = d.apply(mob.inverse())
@@ -398,8 +376,7 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
         if v.outcome != DEFINED_ON_P1:
             return _fail("point certificate with wrong outcome")
         x = [F(t) for t in cert.point]
-        g = cert.conic.gram
-        val = sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
+        val = cert.conic.evaluate(x)
         if val != 0 or all(t == 0 for t in x):
             return _fail("claimed point does not lie on the conic")
         return VerifyResult(True)

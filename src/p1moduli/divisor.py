@@ -20,7 +20,8 @@ from .errors import (
     InternalInconsistency,
     UnrecognizedGroup,
 )
-from .projline import Mobius, ProjPoint, mobius_from_triples
+from .projline import Mobius, ProjPoint, mobius_from_triples, one_point, \
+    zero_point
 from .qfield import FieldTower, GaloisAut
 
 
@@ -305,17 +306,29 @@ def compute_aut(d: Divisor) -> AutGroup:
     return TripleTable(d).aut
 
 
+def _padded_triple(d: Divisor) -> list[ProjPoint]:
+    """The points of a divisor of degree at most 2, followed by the first
+    of 0, 1, inf that are not in it: three points in all."""
+    t = d.tower
+    extra = [zero_point(t), one_point(t), ProjPoint.infinity(t)]
+    return (list(d.points) + [p for p in extra if p not in d])[:3]
+
+
 def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
     """Some Mobius map with M(d1) = d2, or None.
 
     Stops at the first ordered triple of d2 whose signature is that of
     d1 at its first three points; complete over the common tower by the
-    same triple-determination argument as compute_aut.
+    same triple-determination argument as compute_aut. Below degree 3
+    any two divisors of equal degree are equivalent (PGL2 is sharply
+    3-transitive): both are padded to three points and matched.
     """
     if d1.tower != d2.tower:
         raise ValueError("divisors live in different towers")
-    if d1.degree != d2.degree or d1.degree < 3:
+    if d1.degree != d2.degree:
         return None
+    if d1.degree < 3:
+        return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
     target = _base_signature(d1.points)
     br, inv = _brackets(d2.points, range(d2.degree))
     for t in ordered_triples(d2.degree):

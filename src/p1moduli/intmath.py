@@ -138,6 +138,18 @@ def squarefree_part(q: Fraction | int) -> int:
     return sign * s
 
 
+def primitive_scale(values) -> Fraction:
+    """The rational s making [v * s for v in values] coprime integers
+    whose first nonzero entry is positive; 1 for the zero vector."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    g = math.gcd(*(int(v * den) for v in values))
+    if g == 0:
+        return Fraction(1)
+    lead = next(v for v in values if v)
+    return Fraction(den if lead > 0 else -den, g)
+
+
 def fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, if it is one."""
     if q < 0:

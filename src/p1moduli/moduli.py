@@ -19,7 +19,6 @@ of moduli.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -40,6 +39,9 @@ from .errors import (
     NonElementaryGaloisQuotient,
     UnsupportedAut,
 )
+from .intmath import primitive_scale
+from .linalg import det, inverse, mat_map, mat_mul, mat_vec, proportional, \
+    transpose
 from .projline import Mobius, ProjPoint, mobius_from_triples, mobius_order_and_fixed
 from .qfield import (
     FieldElem,
@@ -152,16 +154,14 @@ class Cocycle:
         return f"Cocycle({nontriv} nontrivial of {len(self.values)})"
 
 
-def descent_cocycle(data: ModuliData, d: Optional[Divisor] = None,
-                    check_identity: bool = True) -> Cocycle:
+def descent_cocycle(data: ModuliData) -> Cocycle:
     """c_{sigma,tau} = phi_sigma o sigma(phi_tau) o phi_{sigma tau}^-1.
 
-    Each value is verified to lie in Aut(P1, D) (from ``data`` unless
-    another divisor is passed), so it stabilizes D; the twisted 2-cocycle
-    identity is asserted exactly over all of H^3 unless disabled, by
-    lookups in the multiplication table of Aut.
+    Each value is verified to lie in Aut(P1, D) of ``data``, so it
+    stabilizes D; the twisted 2-cocycle identity is asserted exactly over
+    all of H^3, by lookups in the multiplication table of Aut.
     """
-    aut = data.aut if d is None or d == data.divisor else compute_aut(d)
+    aut = data.aut
     pos = {a: k for k, a in enumerate(aut.elements)}
     group, h, phi = data.group, data.h_indices, data.cochain
     values: dict[tuple[int, int], Mobius] = {}
@@ -174,66 +174,29 @@ def descent_cocycle(data: ModuliData, d: Optional[Divisor] = None,
             if c not in pos:
                 raise InternalInconsistency("cocycle value moves the divisor")
             values[(i, j)] = c
-    coc = Cocycle(values, h, group)
-    if check_identity:
-        idx = {key: pos[c] for key, c in values.items()}
-        # the twist a -> phi_i o sigma_i(a) o phi_i^-1, a permutation of Aut
-        twist = {}
-        for i in h:
-            si, back = group.elements[i], phi[i].inverse()
-            twist[i] = [pos.get(phi[i].compose(conjugate_mobius(si, a))
-                                .compose(back)) for a in aut.elements]
-            if None in twist[i]:
-                raise InternalInconsistency("twisted Aut element leaves Aut")
-        for i in h:
-            for j in h:
-                ij = group.table[i][j]
-                for k in h:
-                    jk = group.table[j][k]
-                    if aut.table[idx[(i, j)]][idx[(ij, k)]] != \
-                            aut.table[twist[i][idx[(j, k)]]][idx[(i, jk)]]:
-                        raise InternalInconsistency("2-cocycle identity fails")
-    return coc
+    idx = {key: pos[c] for key, c in values.items()}
+    # the twist a -> phi_i o sigma_i(a) o phi_i^-1, a permutation of Aut
+    twist = {}
+    for i in h:
+        si, back = group.elements[i], phi[i].inverse()
+        twist[i] = [pos.get(phi[i].compose(conjugate_mobius(si, a))
+                            .compose(back)) for a in aut.elements]
+        if None in twist[i]:
+            raise InternalInconsistency("twisted Aut element leaves Aut")
+    for i in h:
+        for j in h:
+            ij = group.table[i][j]
+            for k in h:
+                jk = group.table[j][k]
+                if aut.table[idx[(i, j)]][idx[(ij, k)]] != \
+                        aut.table[twist[i][idx[(j, k)]]][idx[(i, jk)]]:
+                    raise InternalInconsistency("2-cocycle identity fails")
+    return Cocycle(values, h, group)
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers over a tower
+# Veronese coordinates
 # ---------------------------------------------------------------------------
-
-def _mat3_mul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(1, 3)),
-                 start=a[i][0] * b[0][j]) for j in range(3)] for i in range(3)]
-
-
-def _mat3_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(1, 3)), start=a[i][0] * v[0])
-            for i in range(3)]
-
-
-def _mat3_det(a):
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-
-def _mat3_inv(a):
-    det = _mat3_det(a)
-    if not det:
-        raise InternalInconsistency("singular 3x3 matrix")
-    inv_det = 1 / det if isinstance(det, Fraction) else det.inverse()
-    cof = [[(a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)] for j in range(3)]
-    return [[cof[i][j] * inv_det for j in range(3)] for i in range(3)]
-
-
-def _mat3_aut(sigma: GaloisAut, a):
-    return [[sigma(a[i][j]) for j in range(3)] for i in range(3)]
-
-
-def _vec3_aut(sigma: GaloisAut, v):
-    return [sigma(x) for x in v]
-
 
 def _veronese_q(u, v):
     """The Veronese quadric as a bilinear form: (u0 v2 + u2 v0)/2 - u1 v1."""
@@ -244,8 +207,7 @@ def _sym2_over_det(m: Mobius):
     """Symmetric square of a 2x2 matrix divided by its determinant; the
     canonical scale-independent action on Veronese coordinates."""
     a, b, c, d = m.entries()
-    det = a * d - b * c
-    inv = det.inverse()
+    inv = m.det().inverse()
     two = 2
     return [[a * a * inv, two * a * b * inv, b * b * inv],
             [a * c * inv, (a * d + b * c) * inv, b * d * inv],
@@ -317,16 +279,15 @@ def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
     return g2, restr
 
 
-def compression(d: Divisor, data: ModuliData,
-                aut: Optional[AutGroup] = None) -> CompressionResult:
+def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     """The conic model of P1/Aut over the field of moduli.
 
-    Requires cyclic Aut; the quotient is taken in coordinates where a
-    generator acts as w -> zeta w, and the Veronese embedding of the
-    target is descended through the exact symmetric-square cocycle.
+    Requires cyclic Aut (read from ``data``); the quotient is taken in
+    coordinates where a generator acts as w -> zeta w, and the Veronese
+    embedding of the target is descended through the exact
+    symmetric-square cocycle.
     """
-    if aut is None:
-        aut = data.aut
+    aut = data.aut
     if not aut.is_cyclic():
         raise NonCyclicAut("compression implemented for cyclic Aut only")
     m = aut.order
@@ -393,18 +354,19 @@ def compression(d: Divisor, data: ModuliData,
     for i in range(h2.order):
         si = h2.elements[i]
         for j in range(h2.order):
-            prod = _mat3_mul(rho[i], _mat3_aut(si, rho[j]))
+            prod = mat_mul(rho[i], mat_map(si, rho[j]))
             if prod != rho[h2.table[i][j]]:
                 raise InternalInconsistency("matrix cocycle has scalar slack")
 
-    # averaging projector onto the rational 3-space
+    # the twisted action v -> rho_k sigma_k(v), and its averaging
+    # projector onto the rational 3-space
+    def act(k, v):
+        return mat_vec(rho[k], list(map(h2.elements[k], v)))
+
     inv_n = F(1, h2.order)
     def project(v):
-        acc = None
-        for k in range(h2.order):
-            term = _mat3_vec(rho[k], _vec3_aut(h2.elements[k], v))
-            acc = term if acc is None else [acc[t] + term[t] for t in range(3)]
-        return [x * inv_n for x in acc]
+        images = [act(k, v) for k in range(h2.order)]
+        return [sum(c[1:], c[0]) * inv_n for c in zip(*images)]
 
     # probing the projector with every coordinate vector scaled by every
     # basis element of the tower reaches the whole fixed space; rational
@@ -427,16 +389,15 @@ def compression(d: Divisor, data: ModuliData,
                     for _ in range(3)]
         attempts += 1
         w = project(cand)
-        for k in range(h2.order):
-            if _mat3_vec(rho[k], _vec3_aut(h2.elements[k], w)) != w:
-                raise InternalInconsistency("projector output is not fixed")
+        if any(act(k, w) != w for k in range(h2.order)):
+            raise InternalInconsistency("projector output is not fixed")
         trial = basis_cols + [w]
         if _cols_independent(trial):
             basis_cols = trial
     if len(basis_cols) < 3:
         raise DescentFailure("fixed space has dimension < 3")
-    basis = [[basis_cols[c][r] for c in range(3)] for r in range(3)]
-    basis_inv = _mat3_inv(basis)
+    basis = transpose(basis_cols)
+    basis_inv = inverse(basis)
 
     # conic = B^T Q B, entries provably in the field of moduli
     gram2 = [[_veronese_q(basis_cols[i], basis_cols[j]) for j in range(3)]
@@ -447,13 +408,9 @@ def compression(d: Divisor, data: ModuliData,
     conic = None
     scale = F(1)
     if data.fom_is_q:
-        flat = [gram_fom[i][j].as_fraction() for i in range(3) for j in range(3)]
-        scale = _integralizing_scale(flat)
-        conic = TernaryForm([[x * scale for x in
-                              (gram_fom[i][0].as_fraction(),
-                               gram_fom[i][1].as_fraction(),
-                               gram_fom[i][2].as_fraction())]
-                             for i in range(3)])
+        gram_q = mat_map(FieldElem.as_fraction, gram_fom)
+        scale = primitive_scale(x for row in gram_q for x in row)
+        conic = TernaryForm(mat_map(lambda x: x * scale, gram_q))
         if not conic.is_nonsingular():
             raise InternalInconsistency("compression conic is singular")
 
@@ -467,15 +424,11 @@ def compression(d: Divisor, data: ModuliData,
 def _cols_independent(cols) -> bool:
     """Linear independence over the tower (not merely over Q; a fixed
     vector and a tower multiple of it are Q-independent but useless)."""
-    k = len(cols)
-    if k == 1:
-        return any(not x.is_zero() for x in cols[0])
-    if k == 2:
-        u, v = cols
-        return any(not (u[i] * v[j] - u[j] * v[i]).is_zero()
-                   for i in range(3) for j in range(i + 1, 3))
-    mat = [[cols[c][r] for c in range(3)] for r in range(3)]
-    return not _mat3_det(mat).is_zero()
+    if len(cols) == 1:
+        return any(cols[0])
+    if len(cols) == 2:
+        return not proportional(*cols)
+    return bool(det(cols))
 
 
 def _restrict_to_fom(x: FieldElem, base: FieldTower,
@@ -488,21 +441,6 @@ def _restrict_to_fom(x: FieldElem, base: FieldTower,
     if any(x.coords[deg:]):
         raise InternalInconsistency("conic entry does not lie in the base tower")
     return fom.restrict(base.element(x.coords[:deg]))
-
-
-def _integralizing_scale(values: list[Fraction]) -> Fraction:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    nums = [abs(int(v * den)) for v in values if v != 0]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    scale = Fraction(den, g if g else 1)
-    lead = next((v for v in values if v != 0), F(1))
-    if lead * scale < 0:
-        scale = -scale
-    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +512,7 @@ def compressed_divisor(d: Divisor, data: ModuliData,
     for orbit in orbits:
         coords = []
         for y in orbit:
-            v = _mat3_vec(comp.basis_inv, _veronese_point(y))
+            v = mat_vec(comp.basis_inv, _veronese_point(y))
             lead = next(x for x in v if not x.is_zero())
             inv = lead.inverse()
             coords.append(tuple(x * inv for x in v))

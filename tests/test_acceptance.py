@@ -277,8 +277,8 @@ def test_criterion_06_symbols_match_conic(counterexample_batch):
         assert aut.order == 2 and aut.is_cyclic()
         data = field_of_moduli(d)
         assert data.fom_is_q
-        symbols = cocycle_class_to_quaternion(descent_cocycle(data, d), data)
-        comp = compression(d, data, aut)
+        symbols = cocycle_class_to_quaternion(descent_cocycle(data), data)
+        comp = compression(d, data)
         (qa, qb, qc), _ = diagonalize(comp.conic)
         places = {INFINITE_PLACE, 2}
         for v in (qa, qb, qc, *(x for s in symbols for x in s)):
@@ -363,7 +363,7 @@ def test_criterion_08_ramification_ledger(counterexample_batch):
         aut = compute_aut(d)
         assert aut.is_cyclic() and aut.order == order
         data = field_of_moduli(d)
-        instances.append((aut, compression(d, data, aut)))
+        instances.append((aut, compression(d, data)))
 
     for aut, comp in instances:
         m = comp.m
@@ -427,7 +427,7 @@ def test_criterion_10_exact_model_reconstruction():
         data = field_of_moduli(d)
         if not data.fom_is_q or len(data.h_indices) > 2:
             continue
-        comp = compression(d, data, aut)
+        comp = compression(d, data)
         point = find_point(comp.conic)
         if point is None:
             continue

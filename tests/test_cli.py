@@ -185,6 +185,20 @@ def test_equivalence_different_degrees(tmp_path, capsys):
     assert rep["witness"] is None
 
 
+def test_equivalence_two_points(tmp_path, capsys):
+    # z -> 3z + 2 maps {0, 1} onto {2, 5}; below three points any two
+    # divisors of equal degree are equivalent
+    payload = {"first": rational_payload(0, 1),
+               "second": rational_payload(2, 5)}
+    code, rep = invoke(tmp_path, capsys, "equivalence", payload)
+    assert code == 0
+    assert rep["equivalent"] is True
+    entries = [F(c[0]) for row in rep["witness"] for c in row]
+    w = Mobius.from_rationals(QQ, *entries)
+    d1 = Divisor([fin(QQ, v) for v in (0, 1)])
+    assert d1.apply(w) == Divisor([fin(QQ, v) for v in (2, 5)])
+
+
 def test_equivalence_tower_mismatch(tmp_path, capsys):
     t = multiquadratic_tower([2])
     d2 = Divisor([fin(t, v) for v in (0, 1, 2)])

@@ -229,6 +229,22 @@ def test_different_degrees_not_equivalent():
     assert pgl2_equivalent(d1, d2) is None
 
 
+def test_small_degrees_always_equivalent():
+    # PGL2 is sharply 3-transitive, so one or two points go anywhere
+    t = multiquadratic_tower([2])
+    cases = [(rational_divisor([0]), rational_divisor([7])),
+             (rational_divisor([5]), Divisor([inf()])),
+             (rational_divisor([0, 1]), rational_divisor([2, 5])),
+             (Divisor([pt(0), inf()]), rational_divisor([1, 0])),
+             (Divisor([ProjPoint.finite(t.root(0)), inf(t)]),
+              Divisor([ProjPoint.finite(-t.root(0)), pt(3, t)]))]
+    for d1, d2 in cases:
+        w = pgl2_equivalent(d1, d2)
+        assert w is not None and d1.apply(w) == d2
+    assert pgl2_equivalent(rational_divisor([0]),
+                           rational_divisor([0, 1])) is None
+
+
 # ---------------------------------------------------------
 # Galois conjugation
 # ---------------------------------------------------------

@@ -38,3 +38,46 @@ def test_no_unused_imports_in_package():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``def _name`` that no module mentions outside the
+    function's own body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+
+    def mentions(node) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in mentions(tree):
+            counts[name] = counts.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("_") \
+                    and counts.get(node.name, 0) == \
+                    mentions(node).count(node.name):
+                found.append(f"{module}:{node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_unreferenced_private_function_detector():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n"
+                 "def _dead():\n    return _used()\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "def public():\n    return 2\n"),
+        "b.py": "from . import a\nx = a._used\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        "a.py:_dead (line 3)", "a.py:_recursive (line 5)"]
+
+
+def test_no_unreferenced_private_functions_in_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

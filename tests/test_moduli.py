@@ -19,9 +19,6 @@ from p1moduli.errors import (
 from p1moduli.moduli import (
     Cocycle,
     ModuliData,
-    _mat3_inv,
-    _mat3_mul,
-    _mat3_vec,
     cocycle_class_to_quaternion,
     compressed_divisor,
     compression,
@@ -29,6 +26,7 @@ from p1moduli.moduli import (
     field_of_moduli,
     quotient_ramification,
 )
+from p1moduli.linalg import mat_mul, mat_vec
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, fixed_subtower, galois_group, tower_extend
 
@@ -187,7 +185,7 @@ def test_compression_order_four_pentagon():
     aut = compute_aut(d)
     assert aut.tag.label() == "cyclic(4)"
     data = field_of_moduli(d)
-    comp = compression(d, data, aut)
+    comp = compression(d, data)
     assert comp.m == 4
     one = comp.tower2.one()
     assert comp.zeta ** 4 == one and comp.zeta ** 2 != one
@@ -200,7 +198,7 @@ def test_compression_extends_tower_for_irrational_fixed_points():
     aut = compute_aut(d)
     assert aut.order == 2
     data = field_of_moduli(d)
-    comp = compression(d, data, aut)
+    comp = compression(d, data)
     assert d.tower.level == 0 and comp.tower2.level == 1
     assert comp.h2_group.order == 2
     assert find_point(comp.conic) is not None
@@ -223,7 +221,7 @@ def test_compression_recovers_veronese_quadric():
             for i in range(3)]
     binv = comp.basis_inv
     bt = [[binv[j][i] for j in range(3)] for i in range(3)]
-    back = _mat3_mul(bt, _mat3_mul(gram, binv))
+    back = mat_mul(bt, mat_mul(gram, binv))
     q = [[F(0), F(0), F(1, 2)], [F(0), F(-1), F(0)], [F(1, 2), F(0), F(0)]]
     scale = comp.scale
     for i in range(3):
@@ -290,7 +288,7 @@ def test_compressed_points_lie_on_conic():
                 for i in range(3)]
         for orbit in cd.orbits:
             for pt in orbit:
-                gv = _mat3_vec(gram, list(pt))
+                gv = mat_vec(gram, list(pt))
                 val = sum((pt[k] * gv[k] for k in range(1, 3)),
                           start=pt[0] * gv[0])
                 assert val.is_zero()
@@ -298,9 +296,8 @@ def test_compressed_points_lie_on_conic():
 
 def test_compressed_degree_count_matches_orbits():
     d = rational_involution_six()
-    aut = compute_aut(d)
     data = field_of_moduli(d)
-    comp = compression(d, data, aut)
+    comp = compression(d, data)
     cd = compressed_divisor(d, data, comp)
     # three <2/z>-orbits of size two, each rational as a point downstairs
     assert cd.degrees == [1, 1, 1]
@@ -455,7 +452,7 @@ def test_random_stable_divisors_descend(rounds=4):
         aut = compute_aut(d)
         if not aut.is_cyclic():
             continue
-        comp = compression(d, data, aut)
+        comp = compression(d, data)
         cd = compressed_divisor(d, data, comp)
         orbit_count = len({frozenset(
             (m(p).x.coords, m(p).y.coords) for m in aut.elements)
