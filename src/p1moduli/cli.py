@@ -429,10 +429,7 @@ def run(argv=None) -> int:
     except _INPUT_ERRORS as e:
         _emit(_error("input", str(e)), args.pretty)
         return 2
-    except ValueError as e:
-        _emit(_error("input", str(e)), args.pretty)
-        return 2
-    except (P1ModuliError, AssertionError) as e:
+    except (P1ModuliError, AssertionError, ValueError) as e:
         _emit(_error("internal", f"{type(e).__name__}: {e}"), args.pretty)
         return 4
     _emit(report, args.pretty)

@@ -2,12 +2,13 @@
 stabilizers.
 
 A divisor is a finite set of distinct points over one tower. A Mobius
-map is pinned down by where it sends three points, so one scan files
-all n(n-1)(n-2) ordered triples t of D by signature, the cross-ratios of
-the other points with t (TripleTable). The triples sharing the base
-triple's signature give Aut(P1, D), and a divisor is Mobius-equivalent
-to D exactly when its own signature is in the table. The groups are the
-classical finite Mobius groups, classified by element-order statistics.
+map is pinned down by where it sends three points, so every search here
+is one scan of the ordered triples t of a divisor for those whose
+cross-ratios with the other points all lie in a target signature
+(``_matches``). Matching the base triple's own signature gives Aut(P1,
+D); the first match of another divisor's signature is an equivalence
+witness. The groups are the classical finite Mobius groups, classified
+by element-order statistics.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import (
     InternalInconsistency,
     UnrecognizedGroup,
 )
-from .projline import Mobius, ProjPoint, mobius_from_triples, one_point, \
-    zero_point
+from .projline import Mobius, ProjPoint, bracket, mobius_from_triples, \
+    one_point, zero_point
 from .qfield import FieldTower, GaloisAut
 
 
@@ -116,10 +117,11 @@ class GroupTag:
 
 class AutGroup:
     """A finite group of Mobius transformations with its multiplication
-    table, canonical element order (identity first) and classification."""
+    table, canonical element order (identity first) and classification.
+    ``index`` maps each (canonically scaled) element to its position."""
 
     __slots__ = ("elements", "tower", "table", "inverses", "orders",
-                 "tag", "_by_key")
+                 "tag", "index")
 
     def __init__(self, elements: Iterable[Mobius]):
         elems = list(elements)
@@ -131,12 +133,12 @@ class AutGroup:
             raise InternalInconsistency("group must contain the identity once")
         self.elements = tuple(idn + rest)
         self.tower = tower
-        self._by_key = {_mobius_key(e): i for i, e in enumerate(self.elements)}
+        self.index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         self.table = [[0] * n for _ in range(n)]
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
-                k = self._by_key.get(_mobius_key(a.compose(b)))
+                k = self.index.get(a.compose(b))
                 if k is None:
                     raise InternalInconsistency("set not closed under composition")
                 self.table[i][j] = k
@@ -161,13 +163,12 @@ class AutGroup:
         return self.elements[0]
 
     def index_of(self, m: Mobius) -> int:
-        key = _mobius_key(m)
-        if key not in self._by_key:
+        if m not in self.index:
             raise ValueError("element not in group")
-        return self._by_key[key]
+        return self.index[m]
 
     def __contains__(self, m: Mobius) -> bool:
-        return _mobius_key(m) in self._by_key
+        return m in self.index
 
     def __iter__(self):
         return iter(self.elements)
@@ -203,6 +204,7 @@ class AutGroup:
 
 
 def _mobius_key(m: Mobius):
+    """Sort key of the canonical element order."""
     return (m.a.sort_key(), m.b.sort_key(), m.c.sort_key(), m.d.sort_key())
 
 
@@ -230,7 +232,7 @@ def _classify(g: AutGroup) -> GroupTag:
 
 
 # ---------------------------------------------------------------------------
-# the triple table
+# the triple matcher
 # ---------------------------------------------------------------------------
 
 def ordered_triples(n: int):
@@ -239,9 +241,9 @@ def ordered_triples(n: int):
 
 
 def _brackets(pts, rows):
-    """Rows i of the brackets [p_i, p_j] = x_i y_j - x_j y_i and of their
-    inverses, off the diagonal, for each i in rows."""
-    br = {i: [pts[i].x * q.y - q.x * pts[i].y for q in pts] for i in rows}
+    """Rows i of the brackets [p_i, p_j] and of their inverses, off the
+    diagonal, for each i in rows."""
+    br = {i: [bracket(pts[i], q) for q in pts] for i in rows}
     inv = {i: [b.inverse() if j != i else None for j, b in enumerate(r)]
            for i, r in br.items()}
     return br, inv
@@ -259,40 +261,45 @@ def _cross_ratios(br, inv, t):
 
 
 def _base_signature(pts) -> frozenset:
-    """The signature of a point list at its first three points."""
+    """The signature of a point list at its first three points: the set
+    of cross-ratios of the other points with them."""
     return frozenset(_cross_ratios(*_brackets(pts, (0, 2)), (0, 1, 2)))
 
 
-class TripleTable:
-    """The ordered triples of a divisor, filed by signature in scan order,
-    and its stabilizer ``aut``. Built by one scan; not cached."""
+def _matches(src, pts, br, inv):
+    """The maps sending the first three points of ``src`` to the ordered
+    triples of ``pts`` (with full bracket table br, inv) of the same
+    signature, in scan order; a candidate triple is dropped at its first
+    miss. The n - 3 cross-ratios of a triple are distinct, so for
+    equal degrees the subset test is equality of signatures."""
+    target = _base_signature(src)
+    for t in ordered_triples(len(pts)):
+        if all(v in target for v in _cross_ratios(br, inv, t)):
+            yield mobius_from_triples(*src[:3], *(pts[k] for k in t))
 
-    __slots__ = ("divisor", "by_signature", "aut")
+
+class TripleTable:
+    """The bracket table of a divisor and its stabilizer ``aut``, found by
+    one full scan; ``witness`` then reuses the table. Not cached."""
+
+    __slots__ = ("divisor", "br", "inv", "aut")
 
     def __init__(self, d: Divisor):
         if d.degree < 3:
             raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
         pts = d.points
-        br, inv = _brackets(pts, range(len(pts)))
-        by_sig: dict[frozenset, list[tuple[int, int, int]]] = {}
-        for t in ordered_triples(len(pts)):
-            by_sig.setdefault(frozenset(_cross_ratios(br, inv, t)),
-                              []).append(t)
         self.divisor = d
-        self.by_signature = by_sig
-        # the base triple (0, 1, 2) comes first in scan order
-        self.aut = AutGroup(mobius_from_triples(*pts[:3], *(pts[k] for k in t))
-                            for t in next(iter(by_sig.values())))
+        self.br, self.inv = _brackets(pts, range(len(pts)))
+        self.aut = AutGroup(_matches(pts, pts, self.br, self.inv))
 
     def witness(self, e: Divisor) -> Optional[Mobius]:
-        """The map pgl2_equivalent(e, D) returns, found by one lookup: it
-        sends the first three points of e to the first triple in scan
-        order with the same signature."""
-        hits = self.by_signature.get(_base_signature(e.points))
-        if hits is None:
+        """The map pgl2_equivalent(e, D) returns: it sends the first three
+        points of e to the first triple of D in scan order with the same
+        signature."""
+        if e.degree != self.divisor.degree:
             return None
-        pts = self.divisor.points
-        return mobius_from_triples(*e.points[:3], *(pts[k] for k in hits[0]))
+        return next(_matches(e.points, self.divisor.points, self.br,
+                             self.inv), None)
 
 
 def compute_aut(d: Divisor) -> AutGroup:
@@ -301,7 +308,7 @@ def compute_aut(d: Divisor) -> AutGroup:
 
     Complete for stabilizer elements defined over that tower: any such
     map is determined by the ordered triple it sends the base triple to,
-    and the table holds every triple.
+    and the scan tries every triple.
     """
     return TripleTable(d).aut
 
@@ -329,13 +336,8 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
         return None
     if d1.degree < 3:
         return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
-    target = _base_signature(d1.points)
     br, inv = _brackets(d2.points, range(d2.degree))
-    for t in ordered_triples(d2.degree):
-        if all(v in target for v in _cross_ratios(br, inv, t)):
-            return mobius_from_triples(*d1.points[:3],
-                                       *(d2.points[k] for k in t))
-    return None
+    return next(_matches(d1.points, d2.points, br, inv), None)
 
 
 def orbit_structure(d: Divisor, g: AutGroup) -> list[list[ProjPoint]]:

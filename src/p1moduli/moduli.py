@@ -4,7 +4,7 @@ The field of moduli of (P1, D) is the fixed field of the subgroup H of
 Galois elements sigma for which sigma(D) is Mobius-equivalent to D. A
 witness cochain phi_sigma with phi_sigma(sigma(D)) = D realizes the
 descent data; its coboundary defect is a 2-cocycle valued in Aut(P1, D).
-Aut and every witness come from the one triple table of D.
+Aut and every witness come from scans of the one bracket table of D.
 
 For cyclic Aut of order m the quotient by Aut is computed literally: a
 generator is conjugated to w -> zeta w by sending its fixed points to 0
@@ -19,8 +19,8 @@ of moduli.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
 
 from .conic import TernaryForm
@@ -83,11 +83,12 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     """H = {sigma : sigma(D) ~ D}, one equivalence witness per element,
     and the fixed field of H.
 
-    Each witness is one lookup in the triple table of D (built here
-    unless given). Cosets are eliminated in blocks: once sigma is known
-    to lie outside H, so does its entire coset sigma H; witnesses for
-    products come from composing known witnesses instead of looking up
-    again. The result carries the table's Aut.
+    Each witness is the first match of sigma(D)'s signature in the
+    triple table of D (built here unless given). Cosets are eliminated
+    in blocks: once sigma is known to lie outside H, so does its entire
+    coset sigma H; witnesses for products come from composing known
+    witnesses instead of searching again. The result carries the
+    table's Aut.
     """
     if table is None:
         table = TripleTable(d)
@@ -162,7 +163,7 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
     all of H^3, by lookups in the multiplication table of Aut.
     """
     aut = data.aut
-    pos = {a: k for k, a in enumerate(aut.elements)}
+    pos = aut.index
     group, h, phi = data.group, data.h_indices, data.cochain
     values: dict[tuple[int, int], Mobius] = {}
     for i in h:
@@ -226,9 +227,8 @@ def _veronese_point(p: ProjPoint):
 class CompressionResult:
     """All artifacts of the quotient-and-descend construction."""
 
-    __slots__ = ("m", "tower2", "kappa", "zeta", "divisor_conj", "h2_group",
-                 "h2_cochain", "h2_restriction", "psi", "rho", "basis",
-                 "basis_inv", "conic", "conic_gram_fom", "fom", "scale")
+    __slots__ = ("m", "tower2", "zeta", "divisor_conj", "h2_group", "psi",
+                 "basis_inv", "conic", "conic_gram_fom", "scale")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -236,10 +236,15 @@ class CompressionResult:
 
     def quotient_map(self, p: ProjPoint) -> ProjPoint:
         """The quotient map w -> w^m in the conjugated coordinates."""
-        return ProjPoint(p.x ** self.m, p.y ** self.m)
+        return _power_map(p, self.m)
 
     def __repr__(self) -> str:
         return f"CompressionResult(m={self.m}, conic={self.conic!r})"
+
+
+def _power_map(p: ProjPoint, m: int) -> ProjPoint:
+    """w -> w^m on homogeneous coordinates."""
+    return ProjPoint(p.x ** m, p.y ** m)
 
 
 def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
@@ -328,19 +333,16 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
     # descend each phi~ through q(w) = w^m via three rational sections
-    def qpow(p: ProjPoint) -> ProjPoint:
-        return ProjPoint(p.x ** m, p.y ** m)
-
     sections = [ProjPoint.finite(tower2.from_rational(2)),
                 ProjPoint.finite(tower2.from_rational(3)),
                 ProjPoint.infinity(tower2)]
     check_pt = ProjPoint.finite(tower2.from_rational(5))
     psi: dict[int, Mobius] = {}
     for k in range(h2.order):
-        srcs = [qpow(w) for w in sections]
-        dsts = [qpow(phit[k](w)) for w in sections]
+        srcs = [_power_map(w, m) for w in sections]
+        dsts = [_power_map(phit[k](w), m) for w in sections]
         psi[k] = mobius_from_triples(*srcs, *dsts)
-        if psi[k](qpow(check_pt)) != qpow(phit[k](check_pt)):
+        if psi[k](_power_map(check_pt, m)) != _power_map(phit[k](check_pt), m):
             raise DescentFailure("quotient map does not descend the witness")
     for i in range(h2.order):
         si = h2.elements[i]
@@ -368,27 +370,16 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         images = [act(k, v) for k in range(h2.order)]
         return [sum(c[1:], c[0]) * inv_n for c in zip(*images)]
 
-    # probing the projector with every coordinate vector scaled by every
-    # basis element of the tower reaches the whole fixed space; rational
-    # probes alone can land in a proper subspace
+    # the probes alpha_j e_i, over a Q-basis alpha_j of the tower, are a
+    # Q-basis of tower2^3, so their projections span the fixed space over
+    # the tower; rational probes alone can land in a proper subspace
     zero = tower2.from_rational(0)
-    candidates = []
-    for j in range(tower2.degree):
-        alpha = tower2.element([1 if t == j else 0 for t in range(tower2.degree)])
-        for i in range(3):
-            candidates.append([alpha if i == r else zero for r in range(3)])
-    rng = random.Random(71520260)
     basis_cols: list[list[FieldElem]] = []
-    attempts = 0
-    max_attempts = len(candidates) + 12
-    while len(basis_cols) < 3 and attempts < max_attempts:
-        if candidates:
-            cand = candidates.pop(0)
-        else:
-            cand = [tower2.from_rational(F(rng.randint(-9, 9), rng.randint(1, 3)))
-                    for _ in range(3)]
-        attempts += 1
-        w = project(cand)
+    for j, i in product(range(tower2.degree), range(3)):
+        if len(basis_cols) == 3:
+            break
+        alpha = tower2.element([1 if t == j else 0 for t in range(tower2.degree)])
+        w = project([alpha if i == r else zero for r in range(3)])
         if any(act(k, w) != w for k in range(h2.order)):
             raise InternalInconsistency("projector output is not fixed")
         trial = basis_cols + [w]
@@ -396,15 +387,13 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             basis_cols = trial
     if len(basis_cols) < 3:
         raise DescentFailure("fixed space has dimension < 3")
-    basis = transpose(basis_cols)
-    basis_inv = inverse(basis)
+    basis_inv = inverse(transpose(basis_cols))
 
     # conic = B^T Q B, entries provably in the field of moduli
     gram2 = [[_veronese_q(basis_cols[i], basis_cols[j]) for j in range(3)]
              for i in range(3)]
-    fom = data.fom
-    gram_fom = [[_restrict_to_fom(gram2[i][j], base, fom) for j in range(3)]
-                for i in range(3)]
+    gram_fom = [[_restrict_to_fom(gram2[i][j], base, data.fom)
+                 for j in range(3)] for i in range(3)]
     conic = None
     scale = F(1)
     if data.fom_is_q:
@@ -415,10 +404,9 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("compression conic is singular")
 
     return CompressionResult(
-        m=m, tower2=tower2, kappa=kappa, zeta=zeta, divisor_conj=d2,
-        h2_group=h2, h2_cochain=cochain2, h2_restriction=restr, psi=psi,
-        rho=rho, basis=basis, basis_inv=basis_inv, conic=conic,
-        conic_gram_fom=gram_fom, fom=fom, scale=scale)
+        m=m, tower2=tower2, zeta=zeta, divisor_conj=d2, h2_group=h2,
+        psi=psi, basis_inv=basis_inv, conic=conic, conic_gram_fom=gram_fom,
+        scale=scale)
 
 
 def _cols_independent(cols) -> bool:
@@ -471,42 +459,32 @@ def compressed_divisor(d: Divisor, data: ModuliData,
                        comp: CompressionResult) -> CompressedDivisor:
     """Image points of D under the quotient map, grouped into orbits of
     the twisted Galois action and written in conic coordinates."""
-    images = []
-    seen = set()
-    for p in comp.divisor_conj.points:
-        q = comp.quotient_map(p)
-        key = (q.x.coords, q.y.coords)
-        if key not in seen:
-            seen.add(key)
-            images.append(q)
+    images = list(dict.fromkeys(comp.quotient_map(p)
+                                for p in comp.divisor_conj.points))
     h2 = comp.h2_group
-    point_set = {(q.x.coords, q.y.coords) for q in images}
+    point_set = set(images)
     orbits = []
     degrees = []
-    remaining = list(images)
+    remaining = images
     while remaining:
-        start = remaining[0]
-        orbit = {}
-        stack = [start]
+        orbit = set()
+        stack = [remaining[0]]
         while stack:
             y = stack.pop()
-            key = (y.x.coords, y.y.coords)
-            if key in orbit:
+            if y in orbit:
                 continue
-            orbit[key] = y
+            orbit.add(y)
             for k in range(h2.order):
                 s = h2.elements[k]
                 moved = comp.psi[k](ProjPoint(s(y.x), s(y.y)))
-                mkey = (moved.x.coords, moved.y.coords)
-                if mkey not in point_set:
+                if moved not in point_set:
                     raise InternalInconsistency(
                         "twisted action does not permute the image points")
-                if mkey not in orbit:
+                if moved not in orbit:
                     stack.append(moved)
-        orbits.append([orbit[k] for k in sorted(orbit)])
+        orbits.append(sorted(orbit, key=lambda q: (q.x.coords, q.y.coords)))
         degrees.append(len(orbit))
-        remaining = [y for y in remaining
-                     if (y.x.coords, y.y.coords) not in orbit]
+        remaining = [y for y in remaining if y not in orbit]
     # conic coordinates: v = B^{-1} (y0^2, y0 y1, y1^2)
     coord_orbits = []
     for orbit in orbits:

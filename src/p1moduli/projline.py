@@ -204,17 +204,22 @@ class Mobius:
 # triples and cross-ratio
 # ---------------------------------------------------------------------------
 
+def bracket(p: ProjPoint, q: ProjPoint) -> FieldElem:
+    """The 2x2 determinant [p, q] = x_p y_q - x_q y_p; zero exactly when
+    p = q."""
+    return p.x * q.y - q.x * p.y
+
+
 def _std_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
     """The Mobius taking (0, 1, inf) to (p1, p2, p3)."""
-    # columns: (b,d) ~ p1, (a,c) ~ p3, scaled so their sum is ~ p2
-    det = p3.x * p1.y - p1.x * p3.y
-    if det.is_zero():
-        raise DegenerateTriple("first and third points coincide")
-    nu = (p2.x * p1.y - p1.x * p2.y) / det
-    mu = (p3.x * p2.y - p2.x * p3.y) / det
-    if nu.is_zero() or mu.is_zero():
-        raise DegenerateTriple("points of the triple coincide")
-    return Mobius(nu * p3.x, mu * p1.x, nu * p3.y, mu * p1.y)
+    # columns: (b,d) ~ p1, (a,c) ~ p3, scaled so they sum to [p3, p1] p2;
+    # the determinant [p2, p1][p3, p2][p3, p1] vanishes exactly when two
+    # of the points coincide
+    nu, mu = bracket(p2, p1), bracket(p3, p2)
+    try:
+        return Mobius(nu * p3.x, mu * p1.x, nu * p3.y, mu * p1.y)
+    except SingularMatrix:
+        raise DegenerateTriple("points of the triple coincide") from None
 
 
 def mobius_from_triples(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from p1moduli import cli
 from p1moduli.cli import (divisor_json, mobius_json, parse_divisor,
                           parse_tower, run, tower_json)
 from p1moduli.divisor import Divisor
@@ -335,6 +336,19 @@ def test_stdin_payload(capsys, monkeypatch):
     rep = json.loads(capsys.readouterr().out)
     assert code == 0
     assert rep["outcome"] == "DefinedOnP1"
+
+
+def test_stray_value_error_is_internal(tmp_path, capsys, monkeypatch):
+    # parsing raises SchemaError; a ValueError past it is a program fault
+    def broken(d):
+        raise ValueError("misuse inside the pipeline")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    code, rep = invoke(tmp_path, capsys, "analyze",
+                       rational_payload(0, 1, 2, 3))
+    assert code == 4
+    assert rep["error"]["code"] == "internal"
+    assert "misuse" in rep["error"]["message"]
 
 
 def test_pretty_and_compact_agree(tmp_path, capsys):

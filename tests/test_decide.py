@@ -257,19 +257,26 @@ def test_dead_fast_path_rules_rejected():
 
 
 def test_decide_scans_the_triples_once(monkeypatch):
+    # one full scan (Aut); every witness search stops at its hit
     divisor_mod = importlib.import_module("p1moduli.divisor")
     calls = []
     scan = divisor_mod.ordered_triples
 
-    def counted(n):
-        calls.append(n)
-        return scan(n)
+    def recorded(n):
+        consumed = []
+        calls.append(consumed)
+        for t in scan(n):
+            consumed.append(t)
+            yield t
 
-    monkeypatch.setattr(divisor_mod, "ordered_triples", counted)
+    monkeypatch.setattr(divisor_mod, "ordered_triples", recorded)
     d = obstructed_eight()
     v = decide(d)
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
-    assert calls == [d.degree]
+    n = d.degree
+    full = [c for c in calls if len(c) == n * (n - 1) * (n - 2)]
+    assert len(full) == 1 and calls[0] is full[0]
+    assert len(calls) > 1
 
 
 def test_fake_failing_place_detected():

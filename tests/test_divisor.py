@@ -455,6 +455,10 @@ def test_table_witness_for_moved_and_foreign_divisors():
         assert moved.apply(w) == d
         other = random_tower_divisor(rng, d.tower, d.degree)
         assert table.witness(other) == oracle_equivalent(other, d)
+        # one point more: its signature holds every cross-ratio of D
+        bigger = Divisor(list(d.points) + [ProjPoint.finite(
+            d.tower.from_rational(100 + max(abs(p.x.coords[0]) for p in d)))])
+        assert table.witness(bigger) is None
 
 
 def test_pgl2_equivalent_matches_oracle():
