@@ -214,9 +214,9 @@ def _rational_line_through(p: Sequence, q: Sequence) -> tuple:
     lead = next((v for v in line if v), None)
     if lead is None:
         raise InternalInconsistency("points coincide; no unique line")
-    scaled = [v / lead for v in line]
+    inv = lead.inverse()
     out = []
-    for v in scaled:
+    for v in (x * inv for x in line):
         if not v.is_rational():
             raise InternalInconsistency("chord of a conjugate pair must be "
                                         "rational")

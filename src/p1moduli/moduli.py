@@ -160,18 +160,23 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
 
     Each value is verified to lie in Aut(P1, D) of ``data``, so it
     stabilizes D; the twisted 2-cocycle identity is asserted exactly over
-    all of H^3, by lookups in the multiplication table of Aut.
+    all of H^3, by lookups in the multiplication table of Aut. Unlike the
+    1-cocycle identities of ``compression`` it is not cut down to
+    generators of H: its |H|^3 checks are table lookups, cheap next to
+    the |H|^2 map compositions that build the values. Each phi_sigma is
+    inverted once.
     """
     aut = data.aut
     pos = aut.index
     group, h, phi = data.group, data.h_indices, data.cochain
+    phi_inv = {i: phi[i].inverse() for i in h}
     values: dict[tuple[int, int], Mobius] = {}
     for i in h:
         si = group.elements[i]
         for j in h:
             ij = group.table[i][j]
             c = phi[i].compose(conjugate_mobius(si, phi[j])) \
-                .compose(phi[ij].inverse())
+                .compose(phi_inv[ij])
             if c not in pos:
                 raise InternalInconsistency("cocycle value moves the divisor")
             values[(i, j)] = c
@@ -179,9 +184,9 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
     # the twist a -> phi_i o sigma_i(a) o phi_i^-1, a permutation of Aut
     twist = {}
     for i in h:
-        si, back = group.elements[i], phi[i].inverse()
+        si = group.elements[i]
         twist[i] = [pos.get(phi[i].compose(conjugate_mobius(si, a))
-                            .compose(back)) for a in aut.elements]
+                            .compose(phi_inv[i])) for a in aut.elements]
         if None in twist[i]:
             raise InternalInconsistency("twisted Aut element leaves Aut")
     for i in h:
@@ -291,6 +296,14 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     coordinates where a generator acts as w -> zeta w, and the Veronese
     embedding of the target is descended through the exact
     symmetric-square cocycle.
+
+    Every twisted witness is checked on the moved divisor, and every
+    descended map psi on a test point. The 1-cocycle identities of psi
+    and of rho = Sym^2(psi)/det(psi) are checked for s in a greedy
+    generating set S of H2 and every t (``_assert_cocycle`` says why
+    that is enough), and each projector output only for fixity under S:
+    once rho is a cocycle, v -> rho_s s(v) is an action of H2, so a
+    vector fixed by S is fixed by all of H2.
     """
     aut = data.aut
     if not aut.is_cyclic():
@@ -344,21 +357,16 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         psi[k] = mobius_from_triples(*srcs, *dsts)
         if psi[k](_power_map(check_pt, m)) != _power_map(phit[k](check_pt), m):
             raise DescentFailure("quotient map does not descend the witness")
-    for i in range(h2.order):
-        si = h2.elements[i]
-        for j in range(h2.order):
-            composed = psi[i].compose(conjugate_mobius(si, psi[j]))
-            if composed != psi[h2.table[i][j]]:
-                raise InternalInconsistency("1-cocycle identity fails for psi")
+    # a trivial H2 has no generators; its one pair (1, 1) is still checked
+    gens = h2.generators(range(h2.order)) or [0]
+    _assert_cocycle(h2, gens, psi,
+                    lambda a, s, b: a.compose(conjugate_mobius(s, b)),
+                    "1-cocycle identity fails for psi")
 
     # exact matrix cocycle on Veronese coordinates
     rho = {k: _sym2_over_det(psi[k]) for k in range(h2.order)}
-    for i in range(h2.order):
-        si = h2.elements[i]
-        for j in range(h2.order):
-            prod = mat_mul(rho[i], mat_map(si, rho[j]))
-            if prod != rho[h2.table[i][j]]:
-                raise InternalInconsistency("matrix cocycle has scalar slack")
+    _assert_cocycle(h2, gens, rho, lambda a, s, b: mat_mul(a, mat_map(s, b)),
+                    "matrix cocycle has scalar slack")
 
     # the twisted action v -> rho_k sigma_k(v), and its averaging
     # projector onto the rational 3-space
@@ -380,7 +388,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             break
         alpha = tower2.element([1 if t == j else 0 for t in range(tower2.degree)])
         w = project([alpha if i == r else zero for r in range(3)])
-        if any(act(k, w) != w for k in range(h2.order)):
+        if any(act(k, w) != w for k in gens):
             raise InternalInconsistency("projector output is not fixed")
         trial = basis_cols + [w]
         if _cols_independent(trial):
@@ -407,6 +415,22 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         m=m, tower2=tower2, zeta=zeta, divisor_conj=d2, h2_group=h2,
         psi=psi, basis_inv=basis_inv, conic=conic, conic_gram_fom=gram_fom,
         scale=scale)
+
+
+def _assert_cocycle(group: GaloisGroup, gens: list[int], values: dict,
+                    mul, message: str) -> None:
+    """Assert values[st] = mul(values[s], s, values[t]), that is
+    v_s s(v_t), for s in ``gens`` and every t.
+
+    With ``gens`` generating the group this is as strong as checking
+    every pair: the pairs (s, 1) give v_1 = 1, and if the identity holds
+    for g it holds for sg, as v_{sgt} = v_s s(v_g g(v_t)) = v_{sg} sg(v_t).
+    """
+    for s in gens:
+        sigma = group.elements[s]
+        for t in range(group.order):
+            if mul(values[s], sigma, values[t]) != values[group.table[s][t]]:
+                raise InternalInconsistency(message)
 
 
 def _cols_independent(cols) -> bool:
@@ -570,14 +594,7 @@ def cocycle_class_to_quaternion(coc: Cocycle, data: ModuliData
     def bit(i: int, j: int) -> int:
         return 0 if coc.values[(i, j)].is_identity() else 1
 
-    # greedy basis of H in canonical order
-    basis: list[int] = []
-    span = {0}
-    for i in h:
-        if i in span:
-            continue
-        basis.append(i)
-        span = set(group.subgroup_closure(basis))
+    basis = group.generators(h)
     r = len(basis)
     if (1 << r) != len(h):
         raise InternalInconsistency("basis does not span H")

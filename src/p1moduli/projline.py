@@ -127,12 +127,6 @@ class Mobius:
         t = factor.tower
         return Mobius(factor, t.zero(), t.zero(), t.one())
 
-    @staticmethod
-    def inversion(numerator: FieldElem) -> "Mobius":
-        """z -> numerator / z."""
-        t = numerator.tower
-        return Mobius(t.zero(), numerator, t.one(), t.zero())
-
     @property
     def tower(self) -> FieldTower:
         return self.a.tower

@@ -646,6 +646,18 @@ class GaloisGroup:
     def inverse(self, i: int) -> int:
         return self.inverses[i]
 
+    def generators(self, indices: Iterable[int]) -> list[int]:
+        """A greedy generating set of the subgroup spanned by ``indices``:
+        each index, taken in the given order, that is not yet in the
+        span of the ones before it."""
+        gens: list[int] = []
+        span = {0}
+        for i in indices:
+            if i not in span:
+                gens.append(i)
+                span = self.subgroup_closure(gens)
+        return gens
+
     def subgroup_closure(self, indices: Iterable[int]) -> frozenset[int]:
         cur = {0} | set(indices)
         changed = True

@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from p1moduli import moduli
 from p1moduli.conic import find_point, hilbert_symbol
+from p1moduli.construct import CounterexampleSpec, gen_counterexample
 from p1moduli.divisor import (
     Divisor,
     compute_aut,
@@ -239,6 +242,52 @@ def test_compression_conic_over_proper_subfield():
     assert comp.conic is None
     assert all(x.tower == data.fom.tower
                for row in comp.conic_gram_fom for x in row)
+
+
+@functools.lru_cache(maxsize=None)
+def counterexample_eight():
+    """The seed-1 (-1, -1) counterexample of degree 8: Aut of order 2,
+    H2 = (Z/2)^3 over a level-3 tower."""
+    return gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))[0].divisor
+
+
+@pytest.mark.parametrize("make", [biquadratic_five_points,
+                                  counterexample_eight])
+@pytest.mark.parametrize("spoil", ["psi", "rho"])
+def test_compression_cocycle_checks_reach_non_generators(
+        monkeypatch, make, spoil):
+    # the psi and rho identities are checked for generators s of H2 only,
+    # against every t; a value spoiled at the last element of H2, which is
+    # no generator, must still fail its own check
+    d = make()
+    data = field_of_moduli(d)
+    clean = compression(d, data)
+    h2 = clean.h2_group
+    last = h2.order - 1
+    assert h2.order >= 4 and last not in h2.generators(range(h2.order))
+    # z -> 2z - 5^m fixes the point where psi is checked against the
+    # witness it descends, and moves every other point
+    shift = Mobius.from_rationals(clean.tower2, 2, -5 ** clean.m, 0, 1)
+    name, spoiler, message = {
+        "psi": ("mobius_from_triples", lambda psi: psi.compose(shift),
+                "1-cocycle identity fails for psi"),
+        "rho": ("_sym2_over_det", lambda rho: [[2 * x for x in row]
+                                               for row in rho],
+                "matrix cocycle has scalar slack"),
+    }[spoil]
+    real = getattr(moduli, name)
+    calls = []
+
+    def spoiled(arg, *rest):
+        # called once per element of H2, in index order
+        calls.append(arg)
+        out = real(arg, *rest)
+        return spoiler(out) if len(calls) == h2.order else out
+
+    monkeypatch.setattr(moduli, name, spoiled)
+    with pytest.raises(InternalInconsistency, match=message):
+        compression(d, data)
+    assert len(calls) == h2.order
 
 
 def test_compression_rejects_noncyclic():

@@ -481,3 +481,15 @@ def test_coords_are_fractions():
     assert all(type(c) is Fraction for r in t.rad_coords for c in r)
     assert x.sort_key() == x.coords
     assert t.from_rational(F(7, 3)).as_fraction() == F(7, 3)
+
+
+def test_generators_greedy_in_given_order():
+    g = galois_group(multiquadratic_tower([2, 5, -1]))
+    gens = g.generators(range(g.order))
+    assert len(gens) == 3 and gens == sorted(gens)
+    assert g.subgroup_closure(gens) == frozenset(range(g.order))
+    # each generator lies outside the span of the ones before it
+    for k, i in enumerate(gens):
+        assert i not in g.subgroup_closure(gens[:k])
+    assert g.generators([0]) == []
+    assert g.generators(reversed(range(g.order)))[0] == g.order - 1
