@@ -6,7 +6,11 @@ infinite place, 2, and the odd primes dividing the diagonal
 coefficients). Points are produced by the classical descent on the
 two-term Legendre equation x^2 = A y^2 + B z^2, replacing B by the
 squarefree part of (w^2 - A)/B for a square root w of A modulo |B|
-until a unit coefficient appears. All arithmetic is exact.
+until a unit coefficient appears. Each step keeps the equation's
+solvability, since B (w^2 - A)/B is a norm from Q(sqrt A), and shrinks
+|B|, so the descent alone also decides solvability: it meets a
+non-residue or x^2 = -y^2 - z^2 exactly when the conic has no point.
+There is no search fallback. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -55,21 +59,6 @@ class TernaryForm:
         return TernaryForm([[Fraction(a), z, z],
                             [z, Fraction(b), z],
                             [z, z, Fraction(c)]])
-
-    @staticmethod
-    def from_upper(entries: Sequence) -> "TernaryForm":
-        """Build from the 6 upper-triangle entries (g00,g01,g02,g11,g12,g22);
-        off-diagonal inputs are the full mixed coefficients of the conic,
-        halved into the Gram matrix."""
-        g00, g01, g02, g11, g12, g22 = (Fraction(e) for e in entries)
-        h = Fraction(1, 2)
-        return TernaryForm([[g00, g01 * h, g02 * h],
-                            [g01 * h, g11, g12 * h],
-                            [g02 * h, g12 * h, g22]])
-
-    def upper(self) -> list[Fraction]:
-        g = self.gram
-        return [g[0][0], 2 * g[0][1], 2 * g[0][2], g[1][1], 2 * g[1][2], g[2][2]]
 
     def det(self) -> Fraction:
         return linalg.det(self.gram)
@@ -204,13 +193,17 @@ def _legendre_unit(a: int, p: int) -> int:
 
 
 def hilbert_symbol(a, b, place: Place) -> int:
-    """The Hilbert symbol (a, b) at a place of Q, by the closed formulas."""
+    """The Hilbert symbol (a, b) at a place of Q, by the closed formulas.
+
+    A fraction p/q is replaced by the integer p q of its square class;
+    the formulas need only its valuation and unit residue, so nothing is
+    factored."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    ai = squarefree_part(a)
-    bi = squarefree_part(b)
+    ai = a.numerator * a.denominator
+    bi = b.numerator * b.denominator
     if place == INFINITE_PLACE:
         return -1 if (ai < 0 and bi < 0) else 1
     p = place
@@ -282,9 +275,9 @@ def _sqrt_mod_squarefree(a: int, m: int, factor_bound: int) -> Optional[int]:
 
 
 def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
-                    ) -> tuple[int, int, int]:
+                    ) -> Optional[tuple[int, int, int]]:
     """A nontrivial (x, y, z) with x^2 = a y^2 + b z^2, for squarefree
-    nonzero a, b of a globally solvable equation."""
+    nonzero a, b, or None when the equation has no solution."""
     if depth > 200:
         raise SearchExhausted("Legendre descent exceeded its depth bound")
     if a == 1:
@@ -292,13 +285,14 @@ def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
     if b == 1:
         return (1, 0, 1)
     if abs(a) > abs(b):
-        x, y, z = _solve_legendre(b, a, factor_bound, depth + 1)
-        return (x, z, y)
+        sol = _solve_legendre(b, a, factor_bound, depth + 1)
+        return None if sol is None else (sol[0], sol[2], sol[1])
     if b == -1:  # then a = -1 as well: x^2 + y^2 + z^2 = 0 has no solution
-        raise SearchExhausted("reached x^2 = -y^2 - z^2; input not solvable")
+        return None
+    # a solution forces a to be a square modulo every prime dividing b
     w = _sqrt_mod_squarefree(a % abs(b), abs(b), factor_bound)
     if w is None:
-        raise SearchExhausted("no square root of a modulo b; input not solvable")
+        return None
     if w > abs(b) // 2:
         w = abs(b) - w
     t = (w * w - a) // b
@@ -306,7 +300,10 @@ def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
         raise InternalInconsistency("squarefree coefficient turned square")
     t1 = squarefree_part(t)
     s = math.isqrt(t // t1)
-    x1, y1, z1 = _solve_legendre(a, t1, factor_bound, depth + 1)
+    sol = _solve_legendre(a, t1, factor_bound, depth + 1)
+    if sol is None:
+        return None
+    x1, y1, z1 = sol
     x, y, z = w * x1 + a * y1, x1 + w * y1, t1 * s * z1
     g = math.gcd(math.gcd(x, y), z)
     return (x // g, y // g, z // g)
@@ -351,49 +348,27 @@ def find_point(f: TernaryForm, factor_bound: int = TRIAL_BOUND
                ) -> Optional[tuple[int, int, int]]:
     """An exact rational point on the conic, or None when none exists.
 
-    Runs the Legendre descent on the diagonalized form, with a bounded
-    brute-force search as a fallback; the result is verified by
-    substitution before being returned.
+    Runs the Legendre descent on the diagonalized form, with no search
+    fallback: None means the descent met a non-residue or the equation
+    x^2 = -y^2 - z^2, which proves the conic pointless. A point is
+    verified by substitution before being returned.
     """
-    solvable, _ = hasse_solvable(f, factor_bound)
-    if not solvable:
-        return None
     (a0, b0, c0), basis = diagonalize(f)
     (a, b, c), mult = _coprime_reduce(a0, b0, c0, factor_bound)
-    try:
-        x, y, z = _solve_legendre(-a * c, -b * c, factor_bound)
-        diag_pt = [Fraction(c * y), Fraction(c * z), Fraction(x)]
-    except SearchExhausted:
-        diag_pt = None
-    if diag_pt is not None:
-        reduced = TernaryForm.diagonal(a, b, c)
-        if reduced.evaluate(diag_pt) != 0:
-            raise InternalInconsistency("descent produced a non-point")
-        back = [diag_pt[i] * mult[i] for i in range(3)]
-        orig = linalg.mat_vec(basis, back)
-        point = _normalize_int_point(orig)
-        if f.evaluate([Fraction(v) for v in point]) != 0:
-            raise InternalInconsistency("basis mapping produced a non-point")
-        return point
-    point = _bounded_search(f, 200)
-    if point is None:
-        raise SearchExhausted("solvable form but no point found")
+    sol = _solve_legendre(-a * c, -b * c, factor_bound)
+    if sol is None:
+        return None
+    x, y, z = sol
+    diag_pt = [Fraction(c * y), Fraction(c * z), Fraction(x)]
+    reduced = TernaryForm.diagonal(a, b, c)
+    if reduced.evaluate(diag_pt) != 0:
+        raise InternalInconsistency("descent produced a non-point")
+    back = [diag_pt[i] * mult[i] for i in range(3)]
+    orig = linalg.mat_vec(basis, back)
+    point = _normalize_int_point(orig)
+    if f.evaluate([Fraction(v) for v in point]) != 0:
+        raise InternalInconsistency("basis mapping produced a non-point")
     return point
-
-
-def _bounded_search(f: TernaryForm, height: int) -> Optional[tuple[int, int, int]]:
-    for h in range(1, height + 1):
-        for x in range(-h, h + 1):
-            for y in range(-h, h + 1):
-                for z in range(-h, h + 1):
-                    if max(abs(x), abs(y), abs(z)) != h:
-                        continue
-                    if x == 0 and y == 0 and z == 0:
-                        continue
-                    if f.evaluate([Fraction(x), Fraction(y), Fraction(z)]) == 0:
-                        return _normalize_int_point(
-                            [Fraction(x), Fraction(y), Fraction(z)])
-    return None
 
 
 # ---------------------------------------------------------------------------

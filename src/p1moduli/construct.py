@@ -330,7 +330,7 @@ def _normalize_twist(par, nu, sig, a, b, ta):
 
     The mismatch factor is a norm from Q(sqrt a) precisely because the
     parametrized conic represents the same symbol class as (a, b); the
-    norm equation is solved by a rational point search.
+    norm equation is solved by find_point.
     """
     wt = ta.from_rational(7)
     et = par.apply(*_affine_params(nu, wt))
@@ -342,11 +342,11 @@ def _normalize_twist(par, nu, sig, a, b, ta):
     if not theta.is_rational():
         raise InternalInconsistency("twist factor must be rational")
     target = F(b) / theta.as_fraction()
-    solvable, _ = hasse_solvable(TernaryForm.diagonal(1, -a, -target))
-    if not solvable:
+    point = find_point(TernaryForm.diagonal(1, -a, -target))
+    if point is None:
         raise InternalInconsistency("twist normalization norm equation "
                                     "unsolvable")
-    x, y, z = find_point(TernaryForm.diagonal(1, -a, -target))
+    x, y, z = point
     c = ta.from_rational(F(x, z)) + ta.from_rational(a).sqrt() * F(y, z)
     nu2 = Mobius.scaling(c).compose(nu)
     m2b = _mu_value(par, nu2, et_bar)

@@ -55,9 +55,6 @@ class Divisor:
     def __iter__(self):
         return iter(self.points)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Divisor) and self.tower == other.tower
                 and self._set == other._set)
@@ -120,8 +117,7 @@ class AutGroup:
     table, canonical element order (identity first) and classification.
     ``index`` maps each (canonically scaled) element to its position."""
 
-    __slots__ = ("elements", "tower", "table", "inverses", "orders",
-                 "tag", "index")
+    __slots__ = ("elements", "tower", "table", "orders", "tag", "index")
 
     def __init__(self, elements: Iterable[Mobius]):
         elems = list(elements)
@@ -142,8 +138,6 @@ class AutGroup:
                 if k is None:
                     raise InternalInconsistency("set not closed under composition")
                 self.table[i][j] = k
-        self.inverses = [next(j for j in range(n) if self.table[i][j] == 0)
-                         for i in range(n)]
         self.orders = [self._order_from_table(i) for i in range(n)]
         self.tag = _classify(self)
 
@@ -158,10 +152,6 @@ class AutGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> Mobius:
-        return self.elements[0]
-
     def index_of(self, m: Mobius) -> int:
         if m not in self.index:
             raise ValueError("element not in group")
@@ -169,9 +159,6 @@ class AutGroup:
 
     def __contains__(self, m: Mobius) -> bool:
         return m in self.index
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def is_cyclic(self) -> bool:
         return self.tag.kind in ("trivial", "cyclic")
@@ -186,14 +173,6 @@ class AutGroup:
             raise ValueError("group is not cyclic")
         n = self.order
         return self.elements[self.orders.index(n)]
-
-    def contains_klein(self) -> bool:
-        invs = [i for i in range(self.order) if self.orders[i] == 2]
-        for a in invs:
-            for b in invs:
-                if a < b and self.table[a][b] == self.table[b][a]:
-                    return True
-        return False
 
     def centralizer_size(self, i: int) -> int:
         return sum(1 for j in range(self.order)
@@ -339,27 +318,3 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
     br, inv = _brackets(d2.points, range(d2.degree))
     return next(_matches(d1.points, d2.points, br, inv), None)
 
-
-def orbit_structure(d: Divisor, g: AutGroup) -> list[list[ProjPoint]]:
-    """Partition of the divisor's points into orbits of the group.
-
-    Orbits are listed by (size, first point); for a cyclic group the
-    sizes are checked against the rotation picture: full orbits of size
-    |G| apart from at most two fixed points of a generator.
-    """
-    remaining = set(d.points)
-    orbits: list[list[ProjPoint]] = []
-    while remaining:
-        p = min(remaining, key=ProjPoint.sort_key)
-        orbit = {m(p) for m in g.elements}
-        if not orbit <= set(d.points):
-            raise InternalInconsistency("group does not stabilize the divisor")
-        remaining -= orbit
-        orbits.append(sorted(orbit, key=ProjPoint.sort_key))
-    orbits.sort(key=lambda o: (len(o), o[0].sort_key()))
-    if g.is_cyclic() and g.order > 1:
-        fixed = sum(1 for o in orbits if len(o) == 1)
-        if fixed > 2 or any(len(o) not in (1, g.order) for o in orbits):
-            raise InternalInconsistency(
-                "cyclic group orbits must be free outside two fixed points")
-    return orbits

@@ -66,8 +66,9 @@ class FactorizationTooLarge(P1ModuliError):
 
 
 class SearchExhausted(P1ModuliError):
-    """A bounded search finished without finding the object it was
-    guaranteed to find; indicates an internal inconsistency upstream."""
+    """A bounded search or descent ran out of steps before reaching the
+    result it was guaranteed to reach; indicates an internal
+    inconsistency upstream."""
 
 
 class PointNotOnConic(P1ModuliError):

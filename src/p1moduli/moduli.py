@@ -28,7 +28,6 @@ from .divisor import (
     AutGroup,
     Divisor,
     TripleTable,
-    compute_aut,
     conjugate_divisor,
     conjugate_mobius,
 )
@@ -64,14 +63,14 @@ class ModuliData:
 
     def __init__(self, group: GaloisGroup, h_indices: tuple[int, ...],
                  cochain: dict[int, Mobius], fom: SubfieldPresentation,
-                 divisor: Divisor, aut: Optional[AutGroup] = None):
+                 divisor: Divisor, aut: AutGroup):
         self.group = group
         self.h_indices = h_indices
         self.cochain = cochain
         self.fom = fom
         self.fom_is_q = fom.tower.level == 0
         self.divisor = divisor
-        self.aut = compute_aut(divisor) if aut is None else aut
+        self.aut = aut
 
     def __repr__(self) -> str:
         return (f"ModuliData(|H|={len(self.h_indices)}, "
@@ -139,16 +138,10 @@ class Cocycle:
     """The coboundary defect c_{sigma,tau} of the witness cochain, valued
     in Aut(P1, D)."""
 
-    __slots__ = ("values", "h_indices", "group")
+    __slots__ = ("values",)
 
-    def __init__(self, values: dict[tuple[int, int], Mobius],
-                 h_indices: tuple[int, ...], group: GaloisGroup):
+    def __init__(self, values: dict[tuple[int, int], Mobius]):
         self.values = values
-        self.h_indices = h_indices
-        self.group = group
-
-    def is_trivial_cochain(self) -> bool:
-        return all(v.is_identity() for v in self.values.values())
 
     def __repr__(self) -> str:
         nontriv = sum(1 for v in self.values.values() if not v.is_identity())
@@ -197,7 +190,7 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
                 if aut.table[idx[(i, j)]][idx[(ij, k)]] != \
                         aut.table[twist[i][idx[(j, k)]]][idx[(i, jk)]]:
                     raise InternalInconsistency("2-cocycle identity fails")
-    return Cocycle(values, h, group)
+    return Cocycle(values)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ class CompressionResult:
     """All artifacts of the quotient-and-descend construction."""
 
     __slots__ = ("m", "tower2", "zeta", "divisor_conj", "h2_group", "psi",
-                 "basis_inv", "conic", "conic_gram_fom", "scale")
+                 "basis_inv", "conic", "conic_gram_fom")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -403,7 +396,6 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     gram_fom = [[_restrict_to_fom(gram2[i][j], base, data.fom)
                  for j in range(3)] for i in range(3)]
     conic = None
-    scale = F(1)
     if data.fom_is_q:
         gram_q = mat_map(FieldElem.as_fraction, gram_fom)
         scale = primitive_scale(x for row in gram_q for x in row)
@@ -413,8 +405,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
 
     return CompressionResult(
         m=m, tower2=tower2, zeta=zeta, divisor_conj=d2, h2_group=h2,
-        psi=psi, basis_inv=basis_inv, conic=conic, conic_gram_fom=gram_fom,
-        scale=scale)
+        psi=psi, basis_inv=basis_inv, conic=conic, conic_gram_fom=gram_fom)
 
 
 def _assert_cocycle(group: GaloisGroup, gens: list[int], values: dict,
@@ -467,10 +458,6 @@ class CompressedDivisor:
     def __init__(self, orbits, degrees):
         self.orbits = orbits
         self.degrees = degrees
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
 
     def all_degrees_even(self) -> bool:
         return all(deg % 2 == 0 for deg in self.degrees)
@@ -532,11 +519,10 @@ def compressed_divisor(d: Divisor, data: ModuliData,
 class RamificationLedger:
     """Ramification data of a tame covering of the line."""
 
-    __slots__ = ("entries", "branch", "covering_degree")
+    __slots__ = ("entries", "covering_degree")
 
-    def __init__(self, entries, branch, covering_degree):
+    def __init__(self, entries, covering_degree):
         self.entries = entries  # (label, e, d, residue degree)
-        self.branch = branch    # (label, degree)
         self.covering_degree = covering_degree
         for (_, e, dd, _) in entries:
             if dd != e - 1:
@@ -555,8 +541,7 @@ def quotient_ramification(m: int) -> RamificationLedger:
     if m < 2:
         raise ValueError("quotient ramification needs m >= 2")
     entries = [("0", m, m - 1, 1), ("infinity", m, m - 1, 1)]
-    branch = [("0", 1), ("infinity", 1)]
-    return RamificationLedger(entries, branch, m)
+    return RamificationLedger(entries, m)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,6 @@ class Mobius:
                       self.c * other.a + self.d * other.c,
                       self.c * other.b + self.d * other.d)
 
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return self.compose(other)
-
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
@@ -291,18 +288,17 @@ class OrderFixedResult:
     ``order`` is None for infinite order. ``fixed`` holds the fixed
     points over ``tower``, which extends the input tower when the
     discriminant was not a square; the identity fixes everything and
-    reports an empty tuple with ``all_fixed`` set.
+    reports an empty tuple.
     """
 
-    __slots__ = ("order", "fixed", "tower", "extended", "all_fixed")
+    __slots__ = ("order", "fixed", "tower", "extended")
 
     def __init__(self, order: int | None, fixed: tuple[ProjPoint, ...],
-                 tower: FieldTower, extended: bool, all_fixed: bool = False):
+                 tower: FieldTower, extended: bool):
         self.order = order
         self.fixed = fixed
         self.tower = tower
         self.extended = extended
-        self.all_fixed = all_fixed
 
     def __repr__(self) -> str:
         o = "inf" if self.order is None else self.order
@@ -350,7 +346,7 @@ def mobius_order_and_fixed(mob: Mobius, max_order: int = 24) -> OrderFixedResult
     if s == two:
         # equal eigenvalues: scalar or parabolic
         if mob.is_identity():
-            return OrderFixedResult(1, (), mob.tower, False, all_fixed=True)
+            return OrderFixedResult(1, (), mob.tower, False)
         fixed, t, ext = _fixed_points(mob)
         return OrderFixedResult(None, fixed, t, ext)
     for m in supported_orders(max_order):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import linalg
 from .errors import (
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .intmath import fraction_sqrt, squarefree_part
 
-Rational = Fraction
 Coords = tuple[Fraction, ...]
 Scalar = Union["FieldElem", Fraction, int]
 Ints = tuple[tuple[int, ...], int]   # numerators and a positive denominator
@@ -271,11 +270,6 @@ class FieldTower:
         return FieldElem(self, tuple(int(i == 1 << step)
                                      for i in range(self.degree)))
 
-    def radicand(self, step: int) -> "FieldElem":
-        """The step radicand embedded into the full tower."""
-        nums, den = self._rads[step]
-        return FieldElem(self, nums + (0,) * (self.degree - len(nums)), den)
-
     def prefix(self, level: int) -> "FieldTower":
         sub = FieldTower(self.rad_coords[:level])
         sub._table = self._table   # its top-left block serves the prefix
@@ -478,18 +472,16 @@ def sign_real(x: FieldElem) -> int:
 class ExtendResult:
     """Outcome of tower_extend.
 
-    ``tower`` is the (possibly unchanged) tower, ``existing_sqrt`` is set
-    when the radicand was already a square, and ``embed`` maps elements of
-    the original tower into ``tower``.
+    ``tower`` is the (possibly unchanged) tower, and ``existing_sqrt`` is
+    set when the radicand was already a square.
     """
 
-    __slots__ = ("tower", "existing_sqrt", "embed", "extended")
+    __slots__ = ("tower", "existing_sqrt", "extended")
 
     def __init__(self, tower: FieldTower, existing_sqrt: FieldElem | None,
-                 embed: Callable[[FieldElem], FieldElem], extended: bool):
+                 extended: bool):
         self.tower = tower
         self.existing_sqrt = existing_sqrt
-        self.embed = embed
         self.extended = extended
 
 
@@ -508,14 +500,14 @@ def tower_extend(tower: FieldTower, radicand: Scalar) -> ExtendResult:
         raise ZeroRadicand("cannot extend by a square root of zero")
     existing = radicand.sqrt()
     if existing is not None:
-        return ExtendResult(tower, existing, lambda e: e, False)
+        return ExtendResult(tower, existing, False)
     if radicand.is_rational():
         stored = Fraction(squarefree_part(radicand.as_fraction()))
         store_coords: Coords = (stored,) + (_ZERO,) * (tower.degree - 1)
     else:
         store_coords = radicand.coords
     new = FieldTower(tower.rad_coords + (store_coords,))
-    return ExtendResult(new, None, new.embed, True)
+    return ExtendResult(new, None, True)
 
 
 def multiquadratic_tower(radicands: Sequence[Fraction | int]) -> FieldTower:
@@ -606,7 +598,7 @@ class GaloisGroup:
     elements[i] composed with elements[j].
     """
 
-    __slots__ = ("tower", "elements", "table", "inverses", "_by_key")
+    __slots__ = ("tower", "elements", "table", "inverses")
 
     def __init__(self, tower: FieldTower, elements: tuple[GaloisAut, ...]):
         self.tower = tower
@@ -614,14 +606,14 @@ class GaloisGroup:
         rest = sorted((e for e in elements if not e.is_identity()),
                       key=lambda e: tuple(i.coords for i in e.images))
         self.elements = tuple(idn + rest)
-        self._by_key = {e.key(): i for i, e in enumerate(self.elements)}
+        by_key = {e.key(): i for i, e in enumerate(self.elements)}
         for i, e in enumerate(self.elements):
             e.index = i
         n = len(self.elements)
         self.table = [[0] * n for _ in range(n)]
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
-                k = self._by_key.get(a.compose(b).key())
+                k = by_key.get(a.compose(b).key())
                 if k is None:
                     raise InternalInconsistency("Galois group not closed")
                 self.table[i][j] = k
@@ -632,19 +624,6 @@ class GaloisGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> GaloisAut:
-        return self.elements[0]
-
-    def index_of(self, aut: GaloisAut) -> int:
-        return self._by_key[aut.key()]
-
-    def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inverses[i]
 
     def generators(self, indices: Iterable[int]) -> list[int]:
         """A greedy generating set of the subgroup spanned by ``indices``:
@@ -670,16 +649,6 @@ class GaloisGroup:
                         cur.add(k)
                         changed = True
         return frozenset(cur)
-
-    def is_elementary_abelian_2(self) -> bool:
-        n = self.order
-        for i in range(n):
-            if self.table[i][i] != 0:
-                return False
-            for j in range(i + 1, n):
-                if self.table[i][j] != self.table[j][i]:
-                    return False
-        return True
 
 
 def galois_group(tower: FieldTower) -> GaloisGroup:

@@ -185,7 +185,8 @@ def test_criterion_02_degree_four_always_defined(degree_four_batch):
     assert len(verdicts) == 100
     for v in verdicts:
         assert v.outcome == DEFINED_ON_P1
-        assert v.aut.contains_klein()
+        # every stabilizer of 4 points contains the Klein four-group
+        assert v.aut.tag.label() in ("dihedral(2)", "dihedral(4)", "A4")
     assert elapsed < 60.0
 
 

@@ -370,6 +370,18 @@ def test_mutually_exclusive_format_flags(tmp_path):
         run(["analyze", "--input", str(path), "--json", "--pretty"])
 
 
+def test_main_exits_with_the_run_code(tmp_path, capsys, monkeypatch):
+    # the console script calls main(), which reads sys.argv
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"diagonal": ["1", "1", "1"]}))
+    monkeypatch.setattr("sys.argv", ["p1moduli", "conic", "--input",
+                                     str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["solvable"] is False
+
+
 @pytest.mark.skipif(shutil.which("p1moduli") is None,
                     reason="console script not on PATH")
 def test_console_script(tmp_path):

@@ -89,9 +89,14 @@ def test_diagonalize_rejects_singular():
 
 
 def test_upper_roundtrip():
-    f = TernaryForm.from_upper([1, 2, 3, 4, 5, 6])
-    assert f.upper() == [F(1), F(2), F(3), F(4), F(5), F(6)]
-    # x^2 + 2xy + 3xz + 4y^2 + 5yz + 6z^2 at (1,1,1) = 21
+    # x^2 + 2xy + 3xz + 4y^2 + 5yz + 6z^2: the Gram matrix holds half of
+    # each mixed coefficient, and the upper triangle reads them back
+    h = F(1, 2)
+    f = TernaryForm([[1, 2 * h, 3 * h], [2 * h, 4, 5 * h], [3 * h, 5 * h, 6]])
+    g = f.gram
+    assert [g[0][0], 2 * g[0][1], 2 * g[0][2], g[1][1], 2 * g[1][2],
+            g[2][2]] == [F(1), F(2), F(3), F(4), F(5), F(6)]
+    # at (1,1,1) = 21
     assert f.evaluate([F(1), F(1), F(1)]) == 21
 
 
@@ -148,6 +153,11 @@ def test_symbol_bilinearity_and_symmetry():
             hilbert_symbol(a, b1, v) * hilbert_symbol(a, b2, v)
         assert hilbert_symbol(a, b1, v) == hilbert_symbol(b1, a, v)
         assert hilbert_symbol(a, -a, v) == 1
+        # a fraction has the symbol of its squarefree part
+        fa = F(rng.choice([-1, 1]) * rng.randint(1, 5000), rng.randint(1, 500))
+        fb = F(rng.choice([-1, 1]) * rng.randint(1, 5000), rng.randint(1, 500))
+        assert hilbert_symbol(fa, fb, v) == \
+            hilbert_symbol(squarefree_part(fa), squarefree_part(fb), v)
 
 
 def test_hilbert_reciprocity_random():
@@ -197,7 +207,9 @@ def test_three_fails_at_3():
 
 def test_hasse_agrees_with_bounded_search():
     # small diagonal forms: a solvable one has a point with |x|, |y| <= 20
-    # (Holzer bounds sqrt|bc|, sqrt|ac|), far below the 200 search cap
+    # (Holzer bounds sqrt|bc|, sqrt|ac|), far below the 200 search cap.
+    # The Legendre descent of find_point decides solvability on its own,
+    # so it must agree with both.
     rng = random.Random(77001)
     checked = 0
     while checked < 100:
@@ -213,6 +225,25 @@ def test_hasse_agrees_with_bounded_search():
             assert a * x * x + b * y * y + c * z * z == 0
         else:
             assert found is None
+        assert (find_point(form) is None) == (not solvable)
+        checked += 1
+    # non-diagonal forms with fractional entries
+    rng = random.Random(77002)
+    outcomes = set()
+    while len(outcomes) < 2 or checked < 250:
+        g = [[F(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                g[i][j] = g[j][i] = F(rng.randint(-12, 12), rng.randint(1, 3))
+        if linalg.det(g) == 0:
+            continue
+        form = TernaryForm(g)
+        solvable, _ = hasse_solvable(form)
+        pt = find_point(form)
+        assert (pt is None) == (not solvable)
+        if pt is not None:
+            assert form.evaluate([F(v) for v in pt]) == 0
+        outcomes.add(solvable)
         checked += 1
 
 

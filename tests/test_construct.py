@@ -94,7 +94,7 @@ def test_klein_involutions_not_self_centralizing():
 def test_identity_rejected():
     g = klein_group()
     with pytest.raises(NotAnInvolution):
-        check_self_centralizing(g, g.identity)
+        check_self_centralizing(g, g.elements[0])
 
 
 def test_outside_element_rejected():

@@ -1,14 +1,19 @@
 """End-to-end verdicts, explicit models, and certificate verification."""
 
 import importlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from p1moduli.conic import INFINITE_PLACE, PlaceEval, hilbert_symbol
+from p1moduli import cli
+from p1moduli.conic import (INFINITE_PLACE, PlaceEval, TernaryForm,
+                            hilbert_symbol, parametrize)
+from p1moduli.construct import _param_of_point, random_twisted_divisor
 from p1moduli.decide import (
-    DEFINED_ON_P1, NOT_DEFINED, UNSUPPORTED_BASE, Certificate,
-    binary_form_coefficients, build_p1_model, decide, verify_certificate)
+    DEFINED_ON_CONIC, DEFINED_ON_P1, NOT_DEFINED, UNSUPPORTED_BASE,
+    Certificate, binary_form_coefficients, build_p1_model, decide,
+    verify_certificate)
 from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
 from p1moduli.errors import InternalInconsistency, UnsupportedAut
 from p1moduli.moduli import field_of_moduli
@@ -57,6 +62,23 @@ def moduli_mismatch_six():
     s2, s3 = t.root(0), t.root(1)
     vals = [s2 * 3, -s2 * 3, s2 / 3, -s2 / 3, s3 + 2, s3 * (-2) + 4]
     return Divisor([ProjPoint.finite(v) for v in vals])
+
+
+def pointless_conic_divisor(n):
+    """n points of P1 over Q(i), identified with the conic
+    x^2 + y^2 + z^2 = 0, that come in pairs {s, s'} whose images on the
+    conic are complex conjugate: the divisor descends to that pointless
+    conic, and Aut is trivial."""
+    t = multiquadratic_tower([-1])
+    i = t.root(0)
+    sigma = galois_group(t).elements[1]
+    par = parametrize(TernaryForm.diagonal(1, 1, 1), (t.one(), i, t.zero()))
+    pts = []
+    for s in (i + 1, i + 2, 3 - i * 2, i * 3 + 1)[:n // 2]:
+        image = par.apply(s, t.one())
+        pts += [ProjPoint.finite(s),
+                _param_of_point(par, tuple(sigma(c) for c in image))]
+    return Divisor(pts)
 
 
 def obstructed_eight():
@@ -218,6 +240,42 @@ def test_obstruction_symbols_refusal_and_internal_error(monkeypatch):
     monkeypatch.setattr(decide_mod, "descent_cocycle", broken)
     with pytest.raises(InternalInconsistency):
         decide(obstructed_eight())
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_pointless_conic_gives_conic_model(n, tmp_path, capsys):
+    d = pointless_conic_divisor(n)
+    v = decide(d)
+    assert v.outcome == DEFINED_ON_CONIC
+    assert v.aut.order == 1
+    cert = v.certificate
+    assert cert.kind == "conic_model"
+    assert [pe.place for pe in cert.failing] == [INFINITE_PLACE, 2]
+    assert verify_certificate(d, v)
+    cert.failing = []
+    assert not verify_certificate(d, v)
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(cli.divisor_json(d)))
+    assert cli.run(["analyze", "--input", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["outcome"] == DEFINED_ON_CONIC
+    assert rep["certificate"]["kind"] == "conic_model"
+
+
+def test_conic_point_when_the_model_fails():
+    # |H| = 4, so the model comes from the best-effort search, which
+    # fails here; the conic point alone certifies descent
+    d = random_twisted_divisor(6, multiquadratic_tower([-1, 2]), 0)
+    v = decide(d)
+    assert v.outcome == DEFINED_ON_P1
+    cert = v.certificate
+    assert cert.kind == "conic_point"
+    assert cert.conic.evaluate([F(c) for c in cert.point]) == 0
+    assert verify_certificate(d, v)
+    cert.point = (cert.point[0] + 1,) + tuple(cert.point[1:])
+    res = verify_certificate(d, v)
+    assert not res and "conic" in res.reason
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import p1moduli
@@ -40,27 +41,28 @@ def test_no_unused_imports_in_package():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def mentions(node) -> list[str]:
+    """Every name and attribute name used under an AST node."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def mention_counts(trees) -> Counter:
+    return Counter(name for tree in trees for name in mentions(tree))
+
+
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level ``def _name`` that no module mentions outside the
     function's own body."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-
-    def mentions(node) -> list[str]:
-        return [n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))]
-
-    counts: dict[str, int] = {}
-    for tree in trees.values():
-        for name in mentions(tree):
-            counts[name] = counts.get(name, 0) + 1
+    counts = mention_counts(trees.values())
     found = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name.startswith("_") \
-                    and counts.get(node.name, 0) == \
-                    mentions(node).count(node.name):
+                    and counts[node.name] == mentions(node).count(node.name):
                 found.append(f"{module}:{node.name} (line {node.lineno})")
     return sorted(found)
 
@@ -81,3 +83,63 @@ def test_no_unreferenced_private_functions_in_package():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+def unreferenced_public_functions(package: dict[str, str],
+                                  users: dict[str, str]) -> list[str]:
+    """Public module-level functions, and public methods and properties
+    of classes, in ``package`` that no module of ``package`` or
+    ``users`` mentions outside the definition's own body.
+
+    Dunders are left out. An import is not a mention, so re-exports do
+    not count as uses. Matching is by name alone: a dead method that
+    shares its name with a live one (say ``GaloisGroup.index_of`` next to
+    ``AutGroup.index_of``) is missed.
+    """
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    counts = mention_counts(list(trees.values())
+                            + [ast.parse(src) for src in users.values()])
+    found = []
+    for module, tree in trees.items():
+        scopes = [("", tree)] + [(f"{cls.name}.", cls) for cls in tree.body
+                                 if isinstance(cls, ast.ClassDef)]
+        for prefix, scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not node.name.startswith("_") \
+                        and counts[node.name] == \
+                        mentions(node).count(node.name):
+                    found.append(f"{module}:{prefix}{node.name} "
+                                 f"(line {node.lineno})")
+    return sorted(found)
+
+
+def test_unreferenced_public_function_detector():
+    package = {
+        "a.py": ("def used():\n    return 1\n"
+                 "def dead():\n    return used()\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class C:\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    def live(self):\n        return 2\n"
+                 "    def gone(self):\n        return self.gone\n"
+                 "    @property\n    def size(self):\n        return 3\n"
+                 "    def _private(self):\n        return 4\n"),
+        "__init__.py": "from .a import dead, C\n",
+    }
+    users = {"test_a.py": "from a import C, used\nC().live()\nC().size\n"}
+    assert unreferenced_public_functions(package, users) == [
+        "a.py:C.gone (line 12)", "a.py:dead (line 3)",
+        "a.py:recursive (line 5)"]
+    # a use in the package itself counts as well
+    package["b.py"] = "from .a import C\ndef f(c):\n    return c.gone()\n"
+    assert "a.py:C.gone (line 12)" not in \
+        unreferenced_public_functions(package, users)
+
+
+def test_no_unreferenced_public_functions_in_package():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert unreferenced_public_functions(package, users) == []

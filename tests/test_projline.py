@@ -107,7 +107,7 @@ def test_inverse_random():
 def test_pow_and_matmul():
     m = Mobius.from_rationals(Q, 1, 1, 0, 1)
     assert (m ** 5)(pt(0)) == pt(5)
-    assert (m @ m) == m ** 2
+    assert m.compose(m) == m ** 2
     assert m ** -3 == (m ** 3).inverse()
 
 
@@ -194,7 +194,6 @@ def test_supported_orders_default():
 def test_identity_order():
     res = mobius_order_and_fixed(Mobius.identity(Q))
     assert res.order == 1
-    assert res.all_fixed
     assert res.fixed == ()
 
 
