@@ -7,13 +7,15 @@ is one scan of the ordered triples t of a divisor for those whose
 cross-ratios with the other points all lie in a target signature
 (``_matches``). Matching the base triple's own signature gives Aut(P1,
 D); the first match of another divisor's signature is an equivalence
-witness. The groups are the classical finite Mobius groups, classified
+witness. The first cross-ratio of each triple is kept by scan index, so
+every later scan of the same divisor tests most triples by one set
+lookup. The groups are the classical finite Mobius groups, classified
 by element-order statistics.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -221,10 +223,14 @@ def ordered_triples(n: int):
 
 def _brackets(pts, rows):
     """Rows i of the brackets [p_i, p_j] and of their inverses, off the
-    diagonal, for each i in rows."""
-    br = {i: [bracket(pts[i], q) for q in pts] for i in rows}
-    inv = {i: [b.inverse() if j != i else None for j, b in enumerate(r)]
-           for i, r in br.items()}
+    diagonal, for each i in rows. The table is antisymmetric, so an entry
+    whose mirror is already built is its negative."""
+    br, inv = {}, {}
+    for i in rows:
+        br[i] = [-br[j][i] if j in br else bracket(pts[i], q)
+                 for j, q in enumerate(pts)]
+        inv[i] = [None if j == i else -inv[j][i] if j in inv else b.inverse()
+                  for j, b in enumerate(br[i])]
     return br, inv
 
 
@@ -245,23 +251,39 @@ def _base_signature(pts) -> frozenset:
     return frozenset(_cross_ratios(*_brackets(pts, (0, 2)), (0, 1, 2)))
 
 
-def _matches(src, pts, br, inv):
+def _matches(src, pts, br, inv, first):
     """The maps sending the first three points of ``src`` to the ordered
     triples of ``pts`` (with full bracket table br, inv) of the same
     signature, in scan order; a candidate triple is dropped at its first
     miss. The n - 3 cross-ratios of a triple are distinct, so for
-    equal degrees the subset test is equality of signatures."""
+    equal degrees the subset test is equality of signatures.
+
+    ``first[s]`` is the first cross-ratio of the triple at scan index s,
+    or None at degree 3, where no other point exists and every triple
+    matches the empty signature. A slot is filled when its triple is
+    first visited; a triple whose slot is filled costs a set lookup, and
+    only a hit computes its other cross-ratios."""
     target = _base_signature(src)
-    for t in ordered_triples(len(pts)):
-        if all(v in target for v in _cross_ratios(br, inv, t)):
+    hits = target | {None}
+    for s, t in enumerate(ordered_triples(len(pts))):
+        if s == len(first):
+            rest = _cross_ratios(br, inv, t)
+            first.append(next(rest, None))
+        elif first[s] in hits:
+            rest = islice(_cross_ratios(br, inv, t), 1, None)
+        else:
+            continue
+        if first[s] in hits and all(v in target for v in rest):
             yield mobius_from_triples(*src[:3], *(pts[k] for k in t))
 
 
 class TripleTable:
-    """The bracket table of a divisor and its stabilizer ``aut``, found by
-    one full scan; ``witness`` then reuses the table. Not cached."""
+    """The bracket table of a divisor, the first cross-ratio of every
+    ordered triple and the stabilizer ``aut``, all from one full scan;
+    each ``witness`` search reads the first cross-ratios back instead of
+    recomputing them. Not cached."""
 
-    __slots__ = ("divisor", "br", "inv", "aut")
+    __slots__ = ("divisor", "br", "inv", "first", "aut")
 
     def __init__(self, d: Divisor):
         if d.degree < 3:
@@ -269,7 +291,8 @@ class TripleTable:
         pts = d.points
         self.divisor = d
         self.br, self.inv = _brackets(pts, range(len(pts)))
-        self.aut = AutGroup(_matches(pts, pts, self.br, self.inv))
+        self.first = []
+        self.aut = AutGroup(_matches(pts, pts, self.br, self.inv, self.first))
 
     def witness(self, e: Divisor) -> Optional[Mobius]:
         """The map pgl2_equivalent(e, D) returns: it sends the first three
@@ -278,7 +301,7 @@ class TripleTable:
         if e.degree != self.divisor.degree:
             return None
         return next(_matches(e.points, self.divisor.points, self.br,
-                             self.inv), None)
+                             self.inv, self.first), None)
 
 
 def compute_aut(d: Divisor) -> AutGroup:
@@ -316,5 +339,5 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
     if d1.degree < 3:
         return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
     br, inv = _brackets(d2.points, range(d2.degree))
-    return next(_matches(d1.points, d2.points, br, inv), None)
+    return next(_matches(d1.points, d2.points, br, inv, []), None)
 

@@ -123,8 +123,7 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     if group.subgroup_closure(h) != frozenset(h):
         raise InternalInconsistency("H is not closed under composition")
     for i in h:
-        img = conjugate_divisor(group.elements[i], d).apply(cochain[i])
-        if img != d:
+        if set(_moved_points(group.elements[i], cochain[i], d)) != set(d):
             raise InternalInconsistency("witness does not carry sigma(D) to D")
     fom = fixed_subtower(group, h)
     return ModuliData(group, h, cochain, fom, d, table.aut)
@@ -148,40 +147,48 @@ class Cocycle:
         return f"Cocycle({nontriv} nontrivial of {len(self.values)})"
 
 
-def descent_cocycle(data: ModuliData) -> Cocycle:
-    """c_{sigma,tau} = phi_sigma o sigma(phi_tau) o phi_{sigma tau}^-1.
+def _moved_points(sigma: GaloisAut, m: Mobius, d: Divisor):
+    """m(sigma(p)) for the points p of d, in their order."""
+    return [m(ProjPoint(sigma(p.x), sigma(p.y))) for p in d.points]
 
-    Each value is verified to lie in Aut(P1, D) of ``data``, so it
-    stabilizes D; the twisted 2-cocycle identity is asserted exactly over
-    all of H^3, by lookups in the multiplication table of Aut. Unlike the
-    1-cocycle identities of ``compression`` it is not cut down to
-    generators of H: its |H|^3 checks are table lookups, cheap next to
-    the |H|^2 map compositions that build the values. Each phi_sigma is
-    inverted once.
+
+def descent_cocycle(data: ModuliData) -> Cocycle:
+    """c_{sigma,tau} = phi_sigma o sigma(phi_tau) o phi_{sigma tau}^-1,
+    computed on the points p_k of D.
+
+    Each witness permutes D: phi_i(sigma_i p_k) = p_{pi_i(k)}. Then c_{i,j}
+    acts on D as pi_i pi_j pi_{ij}^-1, and the twist a -> phi_i o sigma_i(a)
+    o phi_i^-1 as pi_i perm(a) pi_i^-1. A Mobius map is fixed by the
+    images of three points, so for n >= 3 an element of Aut(P1, D) is
+    known by its permutation of D: each value and each twist is looked
+    up among the permutations of Aut, and a miss means it leaves Aut.
+    The twisted 2-cocycle identity is asserted exactly over all of H^3,
+    by lookups in the multiplication table of Aut. Unlike the 1-cocycle
+    identities of ``compression`` it is not cut down to generators of H:
+    its |H|^3 checks are table lookups, cheap next to the |H| n point
+    images that build the permutations.
     """
-    aut = data.aut
-    pos = aut.index
-    group, h, phi = data.group, data.h_indices, data.cochain
-    phi_inv = {i: phi[i].inverse() for i in h}
-    values: dict[tuple[int, int], Mobius] = {}
-    for i in h:
-        si = group.elements[i]
-        for j in h:
-            ij = group.table[i][j]
-            c = phi[i].compose(conjugate_mobius(si, phi[j])) \
-                .compose(phi_inv[ij])
-            if c not in pos:
-                raise InternalInconsistency("cocycle value moves the divisor")
-            values[(i, j)] = c
-    idx = {key: pos[c] for key, c in values.items()}
-    # the twist a -> phi_i o sigma_i(a) o phi_i^-1, a permutation of Aut
-    twist = {}
-    for i in h:
-        si = group.elements[i]
-        twist[i] = [pos.get(phi[i].compose(conjugate_mobius(si, a))
-                            .compose(phi_inv[i])) for a in aut.elements]
-        if None in twist[i]:
-            raise InternalInconsistency("twisted Aut element leaves Aut")
+    aut, d = data.aut, data.divisor
+    group, h = data.group, data.h_indices
+    where = {p: k for k, p in enumerate(d.points)}.get
+    perms = [tuple(map(where, map(a, d.points))) for a in aut.elements]
+    pos = {q: k for k, q in enumerate(perms)}
+    pi = {i: tuple(map(where, _moved_points(group.elements[i],
+                                             data.cochain[i], d)))
+          for i in h}
+    if any(set(pi[i]) != set(range(d.degree)) for i in h):
+        raise InternalInconsistency("cocycle value moves the divisor")
+    # sorting the positions by their images inverts a permutation
+    pi_inv = {i: sorted(range(d.degree), key=pi[i].__getitem__) for i in h}
+    idx = {(i, j): pos.get(tuple(pi[i][pi[j][k]]
+                                 for k in pi_inv[group.table[i][j]]))
+           for i in h for j in h}
+    if None in idx.values():
+        raise InternalInconsistency("cocycle value moves the divisor")
+    twist = {i: [pos.get(tuple(pi[i][q[k]] for k in pi_inv[i]))
+                 for q in perms] for i in h}
+    if any(None in twist[i] for i in h):
+        raise InternalInconsistency("twisted Aut element leaves Aut")
     for i in h:
         for j in h:
             ij = group.table[i][j]
@@ -190,7 +197,7 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
                 if aut.table[idx[(i, j)]][idx[(ij, k)]] != \
                         aut.table[twist[i][idx[(j, k)]]][idx[(i, jk)]]:
                     raise InternalInconsistency("2-cocycle identity fails")
-    return Cocycle(values)
+    return Cocycle({key: aut.elements[a] for key, a in idx.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         s = h2.elements[k]
         phit[k] = kappa.compose(cochain2[k]).compose(
             conjugate_mobius(s, kappa).inverse())
-        if conjugate_divisor(s, d2).apply(phit[k]) != d2:
+        if set(_moved_points(s, phit[k], d2)) != set(d2):
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
     # descend each phi~ through q(w) = w^m via three rational sections
@@ -561,11 +568,10 @@ def cocycle_class_to_quaternion(coc: Cocycle, data: ModuliData
     """
     group = data.group
     h = data.h_indices
-    nontrivial = [v for v in coc.values.values() if not v.is_identity()]
-    for v in nontrivial:
-        if not _is_involution(v) or v != nontrivial[0]:
-            raise UnsupportedAut(
-                "cocycle values must lie in a single group of order 2")
+    nontrivial = {v for v in coc.values.values() if not v.is_identity()}
+    if len(nontrivial) > 1 or not all(map(_is_involution, nontrivial)):
+        raise UnsupportedAut(
+            "cocycle values must lie in a single group of order 2")
     if not data.fom_is_q:
         raise NonElementaryGaloisQuotient(
             "decomposition implemented over Q only")

@@ -315,10 +315,14 @@ def test_dead_fast_path_rules_rejected():
 
 
 def test_decide_scans_the_triples_once(monkeypatch):
-    # one full scan (Aut); every witness search stops at its hit
+    # one full scan (Aut); every witness search stops at its hit, and
+    # computes cross-ratios only for the few triples whose first
+    # cross-ratio, kept from the Aut scan, lies in its target signature
     divisor_mod = importlib.import_module("p1moduli.divisor")
     calls = []
     scan = divisor_mod.ordered_triples
+    cross_ratio_calls = []
+    cross_ratios = divisor_mod._cross_ratios
 
     def recorded(n):
         consumed = []
@@ -327,7 +331,12 @@ def test_decide_scans_the_triples_once(monkeypatch):
             consumed.append(t)
             yield t
 
+    def counted(*args):
+        cross_ratio_calls.append(args[-1])
+        return cross_ratios(*args)
+
     monkeypatch.setattr(divisor_mod, "ordered_triples", recorded)
+    monkeypatch.setattr(divisor_mod, "_cross_ratios", counted)
     d = obstructed_eight()
     v = decide(d)
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
@@ -335,6 +344,7 @@ def test_decide_scans_the_triples_once(monkeypatch):
     full = [c for c in calls if len(c) == n * (n - 1) * (n - 2)]
     assert len(full) == 1 and calls[0] is full[0]
     assert len(calls) > 1
+    assert len(cross_ratio_calls) <= n * (n - 1) * (n - 2) + 16
 
 
 def test_fake_failing_place_detected():

@@ -32,6 +32,7 @@ from p1moduli.moduli import (
 from p1moduli.linalg import mat_mul, mat_vec
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, fixed_subtower, galois_group, tower_extend
+from test_decide import obstructed_eight
 
 QQ = FieldTower()
 
@@ -72,6 +73,13 @@ def biquadratic_five_points():
     r3 = t2.element([0, 0, 1, 0])
     return Divisor([ProjPoint.finite(r2), ProjPoint.finite(-r2),
                     ProjPoint.finite(r3), ProjPoint.finite(-r3), fin(t2, 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def counterexample_eight():
+    """The seed-1 (-1, -1) counterexample of degree 8: Aut of order 2,
+    H2 = (Z/2)^3 over a level-3 tower."""
+    return gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))[0].divisor
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +153,41 @@ def test_cocycle_values_stabilize_divisor():
 
 
 def test_cocycle_identity_agrees_with_mobius_form():
-    # the table lookups accept what composing the maps themselves accepts;
-    # conjugation acts on Aut = C4 by inversion, and the coboundary of
-    # any Aut-adjusted cochain is a cocycle, so phi_id = g gives values
-    # g and g^-1 that pass only when the twist is applied
-    d = q_i_pentagon()
-    data = field_of_moduli(d)
-    assert data.aut.order == 4
-    g = data.aut.elements[data.aut.orders.index(4)]
-    group, h, phi = data.group, data.h_indices, data.cochain
-    for phi_id in (phi[0], g):
-        phi[0] = phi_id
-        c = descent_cocycle(data).values
-        for i in h:
-            si = group.elements[i]
-            for j in h:
-                for k in h:
-                    lhs = c[(i, j)].compose(c[(group.table[i][j], k)])
-                    twisted = phi[i].compose(conjugate_mobius(si, c[(j, k)])) \
-                        .compose(phi[i].inverse())
-                    assert lhs == twisted.compose(c[(i, group.table[j][k])])
+    # the values computed on permutations of D are the maps
+    # phi_i o sigma_i(phi_j) o phi_ij^-1 composed as matrices, and the
+    # table lookups accept what composing the maps themselves accepts.
+    # The coboundary of any Aut-adjusted cochain is a cocycle; with
+    # phi_id = a its value at (i, id) is the twist phi_i o sigma_i(a) o
+    # phi_i^-1, so running over all a in Aut checks every twist. On the
+    # pentagon conjugation acts on Aut = C4 by inversion, so phi_id = g
+    # gives values g and g^-1 that pass only when the twist is applied
+    for d in (q_i_pentagon(), obstructed_eight(), counterexample_eight()):
+        data = field_of_moduli(d)
+        group, h, phi = data.group, data.h_indices, data.cochain
+        for a in data.aut.elements:
+            phi[0] = a
+            c = descent_cocycle(data).values
+            for i in h:
+                si = group.elements[i]
+                for j in h:
+                    ij = group.table[i][j]
+                    assert c[(i, j)] == phi[i].compose(
+                        conjugate_mobius(si, phi[j])).compose(phi[ij].inverse())
+                assert c[(i, 0)] == phi[i].compose(conjugate_mobius(si, a)) \
+                    .compose(phi[i].inverse())
+                for j in h:
+                    for k in h:
+                        lhs = c[(i, j)].compose(c[(group.table[i][j], k)])
+                        twisted = phi[i].compose(
+                            conjugate_mobius(si, c[(j, k)])) \
+                            .compose(phi[i].inverse())
+                        assert lhs == twisted.compose(
+                            c[(i, group.table[j][k])])
+    pentagon = field_of_moduli(q_i_pentagon())
+    assert pentagon.aut.order == 4
+    g = pentagon.aut.elements[pentagon.aut.orders.index(4)]
+    pentagon.cochain[0] = g
+    c = descent_cocycle(pentagon).values
     assert {c[(0, 0)], c[(1, 0)]} == {g, g.inverse()}
 
 
@@ -245,13 +268,6 @@ def test_compression_conic_over_proper_subfield():
     assert comp.conic is None
     assert all(x.tower == data.fom.tower
                for row in comp.conic_gram_fom for x in row)
-
-
-@functools.lru_cache(maxsize=None)
-def counterexample_eight():
-    """The seed-1 (-1, -1) counterexample of degree 8: Aut of order 2,
-    H2 = (Z/2)^3 over a level-3 tower."""
-    return gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))[0].divisor
 
 
 @pytest.mark.parametrize("make", [biquadratic_five_points,
