@@ -29,7 +29,7 @@ from .errors import (BadDegree, DegreeTooSmall, FactorizationTooLarge,
                      GenusTooSmall, HypothesesNotMet, InternalInconsistency,
                      NotGalois, P1ModuliError, RetriesExhausted, SchemaError,
                      SingularForm, SplitSymbol, TangentLine, ZeroRadicand)
-from .intmath import TRIAL_BOUND
+from .intmath import TRIAL_BOUND, trial_bound
 from .moduli import CompressionResult
 from .projline import Mobius, ProjPoint
 from .qfield import FieldElem, FieldTower, tower_extend
@@ -288,13 +288,13 @@ def cmd_equivalence(payload) -> tuple[dict, int]:
     return out, 0
 
 
-def cmd_conic(payload, factor_bound: int) -> tuple[dict, int]:
+def cmd_conic(payload) -> tuple[dict, int]:
     f = parse_form(payload, "$")
-    solvable, failing = hasse_solvable(f, factor_bound)
+    solvable, failing = hasse_solvable(f)
     out: dict = {"solvable": solvable, "failing": evals_json(failing),
                  "point": None}
     if solvable:
-        point = find_point(f, factor_bound)
+        point = find_point(f)
         if point is None:
             raise InternalInconsistency("solvable form without a point")
         out["point"] = [frac_str(v) for v in point]
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=40,
                    help="rejection-sampling budget for generators")
     p.add_argument("--factor-bound", type=int, default=TRIAL_BOUND,
-                   help="trial-division effort for local solvability")
+                   help="trial-division bound of every factorization")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true",
                      help="compact single-line output (default)")
@@ -413,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    token = trial_bound.set(args.factor_bound)
     try:
         payload = _load_payload(args.input)
         if args.command == "analyze":
@@ -420,7 +421,7 @@ def run(argv=None) -> int:
         elif args.command == "equivalence":
             report, code = cmd_equivalence(payload)
         elif args.command == "conic":
-            report, code = cmd_conic(payload, args.factor_bound)
+            report, code = cmd_conic(payload)
         elif args.command == "counterexample":
             report, code = cmd_counterexample(payload, args.seed,
                                               args.max_retries)
@@ -432,6 +433,8 @@ def run(argv=None) -> int:
     except (P1ModuliError, AssertionError, ValueError) as e:
         _emit(_error("internal", f"{type(e).__name__}: {e}"), args.pretty)
         return 4
+    finally:
+        trial_bound.reset(token)
     _emit(report, args.pretty)
     return code
 

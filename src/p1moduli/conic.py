@@ -27,7 +27,6 @@ from .errors import (
     SingularForm,
 )
 from .intmath import (
-    TRIAL_BOUND,
     crt,
     factorint,
     fraction_sqrt,
@@ -232,8 +231,7 @@ def hilbert_symbol(a, b, place: Place) -> int:
     return s
 
 
-def hasse_solvable(f: TernaryForm, factor_bound: int = TRIAL_BOUND
-                   ) -> tuple[bool, list[PlaceEval]]:
+def hasse_solvable(f: TernaryForm) -> tuple[bool, list[PlaceEval]]:
     """Global solvability of the conic and the places where it fails.
 
     Diagonalizes to (a, b, c), reduces to the symbol (-ac, -bc), and
@@ -243,7 +241,7 @@ def hasse_solvable(f: TernaryForm, factor_bound: int = TRIAL_BOUND
     (a, b, c), _ = diagonalize(f)
     aa, bb = -a * c, -b * c
     places: list[Place] = [INFINITE_PLACE, 2]
-    primes = sorted(q for q in factorint(abs(a * b * c), factor_bound) if q > 2)
+    primes = sorted(q for q in factorint(abs(a * b * c)) if q > 2)
     places.extend(primes)
     failing = [PlaceEval(v, -1) for v in places
                if hilbert_symbol(aa, bb, v) == -1]
@@ -256,12 +254,12 @@ def hasse_solvable(f: TernaryForm, factor_bound: int = TRIAL_BOUND
 # rational points
 # ---------------------------------------------------------------------------
 
-def _sqrt_mod_squarefree(a: int, m: int, factor_bound: int) -> Optional[int]:
+def _sqrt_mod_squarefree(a: int, m: int) -> Optional[int]:
     """A square root of a modulo squarefree m >= 1."""
     if m == 1:
         return 0
     residues, moduli = [], []
-    for p in factorint(m, factor_bound):
+    for p in factorint(m):
         if p == 2:
             residues.append(a % 2)
             moduli.append(2)
@@ -274,7 +272,7 @@ def _sqrt_mod_squarefree(a: int, m: int, factor_bound: int) -> Optional[int]:
     return crt(residues, moduli)
 
 
-def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
+def _solve_legendre(a: int, b: int, depth: int = 0
                     ) -> Optional[tuple[int, int, int]]:
     """A nontrivial (x, y, z) with x^2 = a y^2 + b z^2, for squarefree
     nonzero a, b, or None when the equation has no solution."""
@@ -285,12 +283,12 @@ def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
     if b == 1:
         return (1, 0, 1)
     if abs(a) > abs(b):
-        sol = _solve_legendre(b, a, factor_bound, depth + 1)
+        sol = _solve_legendre(b, a, depth + 1)
         return None if sol is None else (sol[0], sol[2], sol[1])
     if b == -1:  # then a = -1 as well: x^2 + y^2 + z^2 = 0 has no solution
         return None
     # a solution forces a to be a square modulo every prime dividing b
-    w = _sqrt_mod_squarefree(a % abs(b), abs(b), factor_bound)
+    w = _sqrt_mod_squarefree(a % abs(b), abs(b))
     if w is None:
         return None
     if w > abs(b) // 2:
@@ -300,7 +298,7 @@ def _solve_legendre(a: int, b: int, factor_bound: int, depth: int = 0
         raise InternalInconsistency("squarefree coefficient turned square")
     t1 = squarefree_part(t)
     s = math.isqrt(t // t1)
-    sol = _solve_legendre(a, t1, factor_bound, depth + 1)
+    sol = _solve_legendre(a, t1, depth + 1)
     if sol is None:
         return None
     x1, y1, z1 = sol
@@ -314,7 +312,7 @@ def _normalize_int_point(coords: Sequence[Fraction]) -> tuple[int, int, int]:
     return tuple(int(c * s) for c in coords)
 
 
-def _coprime_reduce(a: int, b: int, c: int, factor_bound: int
+def _coprime_reduce(a: int, b: int, c: int
                     ) -> tuple[tuple[int, int, int], list[Fraction]]:
     """Make squarefree (a,b,c) pairwise coprime; returns the new triple
     and per-coordinate multipliers carrying points back to the input."""
@@ -332,7 +330,7 @@ def _coprime_reduce(a: int, b: int, c: int, factor_bound: int
             trip = [a, b, c]
             g = math.gcd(trip[i], trip[j])
             if g > 1:
-                p = min(factorint(g, factor_bound))
+                p = min(factorint(g))
                 trip[i] //= p
                 trip[j] //= p
                 trip[k] *= p
@@ -344,8 +342,7 @@ def _coprime_reduce(a: int, b: int, c: int, factor_bound: int
     return (a, b, c), mult
 
 
-def find_point(f: TernaryForm, factor_bound: int = TRIAL_BOUND
-               ) -> Optional[tuple[int, int, int]]:
+def find_point(f: TernaryForm) -> Optional[tuple[int, int, int]]:
     """An exact rational point on the conic, or None when none exists.
 
     Runs the Legendre descent on the diagonalized form, with no search
@@ -354,8 +351,8 @@ def find_point(f: TernaryForm, factor_bound: int = TRIAL_BOUND
     verified by substitution before being returned.
     """
     (a0, b0, c0), basis = diagonalize(f)
-    (a, b, c), mult = _coprime_reduce(a0, b0, c0, factor_bound)
-    sol = _solve_legendre(-a * c, -b * c, factor_bound)
+    (a, b, c), mult = _coprime_reduce(a0, b0, c0)
+    sol = _solve_legendre(-a * c, -b * c)
     if sol is None:
         return None
     x, y, z = sol

@@ -4,18 +4,22 @@ modular square roots, squarefree parts.
 Factorization runs trial division up to a bound and then Brent's cycle
 variant of Pollard rho on what is left. Trial division stops early once
 the cofactor is a prime or the square of one. Inputs that resist both
-raise FactorizationTooLarge rather than silently stalling.
+raise FactorizationTooLarge rather than silently stalling. A call that
+gives no trial bound uses the context variable ``trial_bound``, which the
+command line sets from ``--factor-bound`` for one request.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import FactorizationTooLarge
 
 TRIAL_BOUND = 10 ** 6
+trial_bound: ContextVar[int] = ContextVar("trial_bound", default=TRIAL_BOUND)
 # below this bound Miller-Rabin on the first 12 primes is exact
 # (Sorenson and Webster, 2015; 3.3e24 needs the 13th prime, 41, as well)
 MR_EXACT_BOUND = 318665857834031151167461
@@ -79,7 +83,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
     return 0
 
 
-def factorint(n: int, factor_bound: int = TRIAL_BOUND) -> dict[int, int]:
+def factorint(n: int, factor_bound: int | None = None) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; ignores the sign.
 
     Raises FactorizationTooLarge when a composite cofactor survives both
@@ -92,6 +96,8 @@ def factorint(n: int, factor_bound: int = TRIAL_BOUND) -> dict[int, int]:
     n = abs(n)
     if n == 0:
         raise ValueError("factorint(0)")
+    if factor_bound is None:
+        factor_bound = trial_bound.get()
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:

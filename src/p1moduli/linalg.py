@@ -4,8 +4,8 @@ Entries may be ints, Fractions or tower ``FieldElem``s, mixed with
 rational scalars. The ring routines never divide, and their sums start
 from the first term, so a tower matrix keeps tower entries; ``inverse``
 divides once, by the determinant. The elimination routines ``rref``,
-``kernel_basis``, ``solve`` and ``in_span`` pivot by Fraction division
-and are used over Q only.
+``kernel_basis`` and ``solve`` pivot by Fraction division and are used
+over Q only.
 """
 
 from __future__ import annotations
@@ -144,11 +144,3 @@ def solve(m: Matrix, b: Vector) -> Vector | None:
     for r, pc in enumerate(pivots):
         x[pc] = a[r][cols]
     return x
-
-
-def in_span(vectors: list[Vector], v: Vector) -> bool:
-    """Whether v lies in the rational span of the given vectors."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    m = transpose(vectors)
-    return solve(m, list(v)) is not None

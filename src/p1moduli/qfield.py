@@ -22,12 +22,19 @@ multiply loop.
 ``as_fraction``, ``sort_key``). Square roots, Galois groups of Galois
 towers, and fixed subfields of subgroups are all computed exactly; no
 floating point appears anywhere.
+
+A Galois element sending each root t_i to +-t_i (every element does in
+a multiquadratic tower) is a sign mask s, sigma(e_a) = (-1)^|a & s| e_a:
+it negates coordinates, masks compose by XOR, and a group of masks fixes
+the span of the e_a with every |a & s| even, found with no elimination.
+Other elements (as in Q(sqrt(2 + sqrt 2))) act by a basis-image matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -527,13 +534,27 @@ class GaloisAut:
 
     ``images[i]`` is the image of the step-i root, a FieldElem of the full
     tower equal to plus or minus a square root of the conjugated radicand.
+    ``mask`` is the sign mask (bit i set when images[i] is -root(i)) if
+    every image is +-root(i), and None otherwise.
     """
 
-    __slots__ = ("tower", "images", "_basis_imgs", "_hash", "index")
+    __slots__ = ("tower", "images", "mask", "_flips", "_basis_imgs", "_hash",
+                 "index")
 
     def __init__(self, tower: FieldTower, images: tuple[FieldElem, ...]):
         self.tower = tower
         self.images = images
+        self.mask = 0
+        for i, img in enumerate(images):
+            root = tower.root(i)
+            if img == -root:
+                self.mask |= 1 << i
+            elif img != root:
+                self.mask = None
+                break
+        if self.mask is not None:
+            self._flips = tuple(-1 if (a & self.mask).bit_count() & 1 else 1
+                                for a in range(tower.degree))
         self._basis_imgs = None
         self._hash = None
         self.index = None  # set by GaloisGroup
@@ -553,6 +574,10 @@ class GaloisAut:
     def apply(self, x: FieldElem) -> FieldElem:
         if x.tower != self.tower:
             raise ValueError("element lives in a different tower")
+        if self.mask is not None:
+            # negation keeps the gcd, so the result is already reduced
+            return FieldElem(self.tower, tuple(map(mul, x.num, self._flips)),
+                             x.den)
         imgs, den = self._basis_images()
         acc = [0] * self.tower.degree
         for c, img in zip(x.num, imgs):
@@ -565,7 +590,8 @@ class GaloisAut:
     __call__ = apply
 
     def compose(self, other: "GaloisAut") -> "GaloisAut":
-        """self after other: (self*other)(x) = self(other(x))."""
+        """self after other: (self*other)(x) = self(other(x)). With two
+        masks each image only changes sign, so the masks XOR."""
         return GaloisAut(self.tower,
                          tuple(self.apply(img) for img in other.images))
 
@@ -609,11 +635,14 @@ class GaloisGroup:
         by_key = {e.key(): i for i, e in enumerate(self.elements)}
         for i, e in enumerate(self.elements):
             e.index = i
+        by_mask = {e.mask: i for i, e in enumerate(self.elements)}
+        signs = None not in by_mask
         n = len(self.elements)
         self.table = [[0] * n for _ in range(n)]
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
-                k = by_key.get(a.compose(b).key())
+                k = (by_mask.get(a.mask ^ b.mask) if signs
+                     else by_key.get(a.compose(b).key()))
                 if k is None:
                     raise InternalInconsistency("Galois group not closed")
                 self.table[i][j] = k
@@ -664,11 +693,15 @@ def galois_group(tower: FieldTower) -> GaloisGroup:
         rad = tower._rads[step]
         nxt: list[list[FieldElem]] = []
         for images in partial:
-            conj = _eval_on_images(rad, images, tower)
-            root = conj.sqrt()
-            if root is None:
-                raise NotGalois(step,
-                                f"conjugated radicand {conj!r} has no square root")
+            if not any(rad[0][1:]):
+                # fixed by every conjugation; its canonical root is root(step)
+                root = tower.root(step)
+            else:
+                conj = _eval_on_images(rad, images, tower)
+                root = conj.sqrt()
+                if root is None:
+                    raise NotGalois(step, f"conjugated radicand {conj!r} "
+                                    "has no square root")
             nxt.append(images + [root])
             nxt.append(images + [-root])
         partial = nxt
@@ -739,6 +772,11 @@ def _action_matrix(aut: GaloisAut) -> tuple[linalg.Matrix, int]:
 
 def _fixed_space(group: GaloisGroup, indices: frozenset[int]) -> list[linalg.Vector]:
     deg = group.tower.degree
+    masks = [group.elements[i].mask for i in sorted(indices)]
+    if None not in masks:
+        # e_a is fixed exactly when |a & s| is even for every mask s
+        return [row for a, row in enumerate(linalg.identity(deg))
+                if not any((a & s).bit_count() & 1 for s in masks)]
     rows: linalg.Matrix = []
     for i in sorted(indices):
         if i == 0:
@@ -749,8 +787,6 @@ def _fixed_space(group: GaloisGroup, indices: frozenset[int]) -> list[linalg.Vec
             row = a[r][:]
             row[r] -= den
             rows.append(row)
-    if not rows:
-        return [list(v) for v in linalg.identity(deg)]
     return linalg.kernel_basis(rows)
 
 
@@ -792,28 +828,30 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
             raise InternalInconsistency("no index-2 step above subgroup")
         chain.append(grew)
 
-    fixed_spaces = {u: _fixed_space(group, u) for u in chain}
     subtower = FieldTower.rationals()
     basis_images = [tower.one()]
     # walk downward: from fixed(G) = Q towards fixed(sub)
     for j in range(len(chain) - 1, 0, -1):
         bigger_grp, smaller_grp = chain[j], chain[j - 1]
-        space_small = fixed_spaces[smaller_grp]   # larger field
-        space_big = fixed_spaces[bigger_grp]      # smaller field
-        x_vec = next(v for v in space_small
-                     if not linalg.in_span(space_big, v))
         tau_i = next(iter(bigger_grp - smaller_grp))
         tau = group.elements[tau_i]
-        x = tower.element(x_vec)
-        y = x - tau.apply(x)
-        if y.is_zero():
+        # the first vector fixed by the smaller group and moved by tau
+        for x_vec in _fixed_space(group, smaller_grp):
+            x = tower.element(x_vec)
+            y = x - tau.apply(x)
+            if not y.is_zero():
+                break
+        else:
             raise InternalInconsistency("fixed-space vector collapsed")
         d = y * y
-        cols = [list(img.coords) for img in basis_images]
-        sol = linalg.solve(linalg.transpose(cols), list(d.coords))
-        if sol is None:
-            raise InternalInconsistency("radicand not in current subfield")
-        rad = subtower.element(sol)
+        if d.is_rational():   # basis_images[0] is 1
+            rad = subtower.from_rational(d.as_fraction())
+        else:
+            cols = [list(img.coords) for img in basis_images]
+            sol = linalg.solve(linalg.transpose(cols), list(d.coords))
+            if sol is None:
+                raise InternalInconsistency("radicand not in current subfield")
+            rad = subtower.element(sol)
         ext = tower_extend(subtower, rad)
         if not ext.extended:
             raise InternalInconsistency("chain step radicand was a square")

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from p1moduli import cli
+from p1moduli import cli, conic, intmath, projline
 from p1moduli.cli import (divisor_json, mobius_json, parse_divisor,
                           parse_tower, run, tower_json)
 from p1moduli.divisor import Divisor
@@ -311,6 +311,37 @@ def test_hyperelliptic_too_few_points(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # transport and formatting
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, payload", [
+    ("analyze", rational_payload(0, 1, 2, 3, 4, 5)),
+    ("conic", {"diagonal": ["1", "1", "-2"]}),
+    ("counterexample", {"a": -1, "b": -1, "n": 8, "seed": 1}),
+    ("hyperelliptic", {"branch": rational_payload(0, 1, 2, 3, 4, 5)}),
+])
+def test_factor_bound_reaches_every_factorization(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  payload):
+    seen = []
+    real = intmath.factorint
+
+    def spy(n, factor_bound=None):
+        seen.append(intmath.trial_bound.get() if factor_bound is None
+                    else factor_bound)
+        return real(n, factor_bound)
+
+    for module in (intmath, conic, projline):
+        monkeypatch.setattr(module, "factorint", spy)
+    code, default = invoke(tmp_path, capsys, command, payload)
+    assert code == 0 and seen and set(seen) == {intmath.TRIAL_BOUND}
+    seen.clear()
+    code, bounded = invoke(tmp_path, capsys, command, payload,
+                           "--factor-bound", "50")
+    assert code == 0 and seen and set(seen) == {50}
+    # trial division only bounds effort: the report is the same, and the
+    # bound ends with the request
+    assert bounded == default
+    assert intmath.trial_bound.get() == intmath.TRIAL_BOUND
+
 
 def test_missing_file(tmp_path, capsys):
     code = run(["analyze", "--input", str(tmp_path / "absent.json")])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from p1moduli import moduli
+from p1moduli import linalg, moduli
 from p1moduli.conic import find_point, hilbert_symbol
 from p1moduli.construct import CounterexampleSpec, gen_counterexample
 from p1moduli.divisor import (
@@ -465,6 +465,24 @@ def test_quaternion_diagonal_class():
     coc = Cocycle(values)
     symbols = cocycle_class_to_quaternion(coc, data)
     assert symbols_agree(symbols, [(2, -1)])
+
+
+def test_quaternion_reads_dual_radicands_without_elimination(monkeypatch):
+    # the seed-1 counterexample: H = Gal of a level-3 multiquadratic tower
+    data = field_of_moduli(counterexample_eight())
+    coc = descent_cocycle(data)
+    calls = []
+    real = linalg.rref
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    symbols = cocycle_class_to_quaternion(coc, data)
+    assert calls == []
+    # dual radicands of the generators of H, as the matrix path found them
+    assert symbols == [(-38, -1), (-2, -1), (-19, -1)]
 
 
 def test_quaternion_rejects_cyclic_quartic_group():

@@ -7,6 +7,8 @@ import pytest
 from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
 from p1moduli.qfield import (
     FieldTower,
+    GaloisAut,
+    GaloisGroup,
     fixed_subtower,
     galois_group,
     multiquadratic_tower,
@@ -502,3 +504,103 @@ def test_generators_greedy_in_given_order():
         assert i not in g.subgroup_closure(gens[:k])
     assert g.generators([0]) == []
     assert g.generators(reversed(range(g.order)))[0] == g.order - 1
+
+
+# ---------------------------------------------------------
+# sign masks against the basis-image matrix
+# ---------------------------------------------------------
+
+def _matrix_group(group):
+    """The same group with every element forced onto the matrix path."""
+    auts = []
+    for e in group.elements:
+        ref = GaloisAut(group.tower, e.images)
+        ref.mask = None
+        auts.append(ref)
+    return GaloisGroup(group.tower, tuple(auts))
+
+
+def _all_subgroups(group):
+    found = {frozenset([0])}
+    todo = list(found)
+    while todo:
+        sub = todo.pop()
+        for g in range(group.order):
+            bigger = group.subgroup_closure(sub | {g})
+            if bigger not in found:
+                found.add(bigger)
+                todo.append(bigger)
+    return sorted(found, key=sorted)
+
+
+def _nested_quartic():
+    t = multiquadratic_tower([2])
+    return tower_extend(t, t.element([2, 1])).tower   # Q(sqrt(2 + sqrt 2))
+
+
+@pytest.mark.parametrize("tower", [
+    multiquadratic_tower([]), multiquadratic_tower([-1]),
+    multiquadratic_tower([-1, 2]), multiquadratic_tower([2, -3, 5]),
+    multiquadratic_tower([-1, 2, 3, 5]), _nested_quartic()],
+    ids=["L0", "L1", "L2", "L3", "L4", "sqrt(2+sqrt2)"])
+def test_sign_masks_match_the_matrix_path(tower):
+    rng = random.Random(tower.level)
+    group = galois_group(tower)
+    ref = _matrix_group(group)
+    assert [e.key() for e in group.elements] == \
+        [e.key() for e in ref.elements]
+    assert group.table == ref.table and group.inverses == ref.inverses
+    for e, r in zip(group.elements, ref.elements):
+        signs = all(img in (tower.root(i), -tower.root(i))
+                    for i, img in enumerate(e.images))
+        assert (e.mask is not None) == signs
+        for _ in range(4):
+            x = random_element(tower, rng)
+            y = e.apply(x)
+            assert y == r.apply(x)
+        for f, s in zip(group.elements, ref.elements):
+            assert e.compose(f) == r.compose(s)
+            if e.mask is not None and f.mask is not None:
+                assert e.compose(f).mask == e.mask ^ f.mask
+    for sub in _all_subgroups(group):
+        fast, slow = fixed_subtower(group, sub), fixed_subtower(ref, sub)
+        assert fast.tower.rad_coords == slow.tower.rad_coords
+        assert fast.basis_images == slow.basis_images
+
+
+def test_nested_quartic_moves_sqrt2_without_a_mask():
+    t = _nested_quartic()
+    group = galois_group(t)
+    for e in group.elements:
+        if e.images[0] == t.root(0):
+            assert e.mask in (0, 2)   # sqrt(2 + sqrt 2) -> +-itself
+        else:
+            assert e.images[0] == -t.root(0) and e.mask is None
+    assert sorted(e.mask for e in group.elements
+                  if e.mask is not None) == [0, 2]
+
+
+def test_multiquadratic_fixed_fields_need_no_elimination(monkeypatch):
+    from p1moduli import linalg
+    calls = []
+    real_rref, real_compose = linalg.rref, GaloisAut.compose
+
+    def counting_rref(m):
+        calls.append("rref")
+        return real_rref(m)
+
+    def counting_compose(self, other):
+        calls.append("compose")
+        return real_compose(self, other)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(GaloisAut, "compose", counting_compose)
+    group = galois_group(multiquadratic_tower([-1, 2, 3, 5]))
+    GaloisGroup(group.tower, group.elements)
+    for sub in _all_subgroups(group):
+        fixed_subtower(group, sub)
+    assert calls == []
+    # the counters do count: the matrix path takes both routes
+    fixed_subtower(_matrix_group(galois_group(multiquadratic_tower([2, 3]))),
+                   [1])
+    assert "rref" in calls and "compose" in calls
