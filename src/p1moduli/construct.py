@@ -397,10 +397,9 @@ def _build_divisor(ta, alpha, a, b, rads, cs, include_ram):
     if include_ram:
         pts.append(ProjPoint.finite(tower.zero()))
         pts.append(ProjPoint.infinity(tower))
-    try:
-        return tower, sqrt_b, Divisor(pts)
-    except ValueError:
+    if len(set(pts)) < len(pts):
         return None
+    return tower, sqrt_b, Divisor(pts)
 
 
 def _assemble_sections(conic, par, nu, sig, ta, alpha, a, b, rads, cs,

@@ -137,7 +137,7 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
             raise InternalInconsistency("solvable conic without a point")
         cert = None
         try:
-            form, mob = build_p1_model(d, data, point)
+            form, mob = build_p1_model(d, data)
             cert = Certificate("p1_model", form=form, mobius=mob,
                                conic=comp.conic, point=point)
         except ModelConstructionFailed:
@@ -204,7 +204,7 @@ def _rational_form(coeffs) -> list[Fraction]:
     return [c * s for c in out]
 
 
-def build_p1_model(d: Divisor, data: ModuliData, point=None
+def build_p1_model(d: Divisor, data: ModuliData
                    ) -> tuple[list[Fraction], Mobius]:
     """A binary form over Q cutting out B^{-1}(D), plus the motion B.
 

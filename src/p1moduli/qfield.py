@@ -18,6 +18,14 @@ every prefix: inversion (conj(x) / N(x)), square roots and real signs
 recurse on the halves x = a + b*t, with t the top root, through the same
 multiply loop.
 
+An element is rational when only coordinate 0 is nonzero (e_0 = 1 in
+every tower). Such operands never enter the multiply loop: a zero factor
+is returned as the product, a one factor returns the other operand, p/q
+scales numerators by p and the denominator by q, adding zero returns the
+other operand, and a rational inverts directly. Results are the same
+reduced (num, den) as the general path, and since elements are immutable
+an operand can be returned as it is.
+
 ``Fraction`` appears only at the edges (``coords``, ``rad_coords``,
 ``as_fraction``, ``sort_key``). Square roots, Galois groups of Galois
 towers, and fixed subfields of subgroups are all computed exactly; no
@@ -262,6 +270,8 @@ class FieldTower:
         return FieldElem(self, nums, den)
 
     def from_rational(self, q: Fraction | int) -> "FieldElem":
+        if type(q) is int:
+            return FieldElem(self, (q,) + (0,) * (self.degree - 1))
         q = Fraction(q)
         return FieldElem(self, (q.numerator,) + (0,) * (self.degree - 1),
                          q.denominator)
@@ -341,12 +351,16 @@ class FieldElem:
             if other.tower is not self.tower and other.tower != self.tower:
                 raise ValueError("elements live in different towers")
             return other
-        return self.tower.from_rational(Fraction(other))
+        return self.tower.from_rational(other)
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: Scalar) -> "FieldElem":
         o = self._coerce(other)
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o
         if self.den == o.den:
             return self._make(self.tower, [p + q for p, q in zip(self.num, o.num)],
                               self.den)
@@ -366,18 +380,29 @@ class FieldElem:
         return FieldElem(self.tower, tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other: Scalar) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            table, tden = self._coerce(other).tower._mult()
-            return self._make(self.tower, _mul(self.num, other.num, table),
-                              self.den * other.den * tden)
-        q = Fraction(other)
-        return self._make(self.tower, [v * q.numerator for v in self.num],
-                          self.den * q.denominator)
+        x, r = self, self._coerce(other)
+        if any(r.num[1:]):
+            if any(x.num[1:]):
+                table, tden = r.tower._mult()
+                return self._make(self.tower, _mul(x.num, r.num, table),
+                                  x.den * r.den * tden)
+            x, r = r, x
+        # r = p / q is rational: zero absorbs, one keeps x, else scale x
+        p, q = r.num[0], r.den
+        if not p:
+            return r
+        if p == q:
+            return x
+        return self._make(self.tower, [v * p for v in x.num], x.den * q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        return FieldElem(self.tower, *_inv(self.num, self.den, self.tower))
+        p = self.num[0]
+        if any(self.num[1:]) or not p:
+            return FieldElem(self.tower, *_inv(self.num, self.den, self.tower))
+        return FieldElem(self.tower, (self.den if p > 0 else -self.den,)
+                         + self.num[1:], abs(p))
 
     def __truediv__(self, other: Scalar) -> "FieldElem":
         o = self._coerce(other)
@@ -402,7 +427,10 @@ class FieldElem:
     # -- structure -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return (self.num[0] == other and self.den == 1
+                    and not any(self.num[1:]))
+        if isinstance(other, Fraction):
             other = self.tower.from_rational(other)
         return (
             isinstance(other, FieldElem)

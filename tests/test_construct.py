@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from p1moduli.conic import INFINITE_PLACE, TernaryForm, hilbert_symbol
+from p1moduli import construct
 from p1moduli.construct import (
     CounterexampleSpec, Deg6Form, check_self_centralizing, deg6_normal_form,
     gen_counterexample, hyperelliptic_branch_analysis, line_section_divisor,
@@ -173,6 +174,18 @@ def test_generator_deterministic():
     d1, _ = gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
     d2, _ = gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
     assert d1.divisor == d2.divisor
+
+
+def test_generator_redraws_only_on_repeated_points(monkeypatch):
+    """Repeated points mean a redraw; any other ValueError from Divisor is
+    an internal fault and must reach the caller, not end in retries."""
+    def foreign(points):
+        raise ValueError("points live in different towers")
+
+    monkeypatch.setattr(construct, "Divisor", foreign)
+    with pytest.raises(ValueError, match="different towers"):
+        gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1),
+                           max_retries=3)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,23 @@ def test_obstruction_symbols_refusal_and_internal_error(monkeypatch):
         decide(obstructed_eight())
 
 
+def test_rational_operands_skip_the_tower_kernel(monkeypatch):
+    """Products with a zero, one or rational factor never reach the
+    structure-constant loop: about 2350 kernel products instead of 7201."""
+    qfield = importlib.import_module("p1moduli.qfield")
+    d = obstructed_eight()
+    calls = [0]
+    kernel = qfield._mul
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(qfield, "_mul", counted)
+    assert decide(d).outcome == NOT_DEFINED
+    assert 0 < calls[0] <= 2500
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_pointless_conic_gives_conic_model(n, tmp_path, capsys):
     d = pointless_conic_divisor(n)

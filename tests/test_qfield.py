@@ -6,6 +6,7 @@ import pytest
 
 from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
 from p1moduli.qfield import (
+    FieldElem,
     FieldTower,
     GaloisAut,
     GaloisGroup,
@@ -465,6 +466,65 @@ def test_kernel_sign_real_matches_oracle(t):
     for _ in range(30):
         a = random_element(t, rng)
         assert sign_real(a) == _ref_sign(a.coords, t.rad_coords)
+
+
+def _canonical(t, coords):
+    e = t.element(coords)
+    return e.num, e.den
+
+
+@pytest.mark.parametrize("t", KERNEL_TOWERS, ids=KERNEL_IDS)
+def test_rational_operands_match_oracle(t):
+    """Zero, one, -1 and rationals p/q on either side of *, + and - (as
+    elements or as plain scalars), and inverses of rationals, give exactly
+    the reduced (num, den) of the Fraction oracle."""
+    rng = random.Random(f"rational:{t!r}")
+    qs = [F(0), F(1), F(-1), F(-7, 6), F(5, 4), F(12)]
+    qs += [F(rng.randint(-40, 40), rng.randint(2, 9)) for _ in range(3)]
+    rads = t.rad_coords
+    for _ in range(4):
+        x = random_element(t, rng, height=30)
+        for q in qs:
+            r = t.from_rational(q)
+            scalars = [q, int(q)] if q.denominator == 1 else [q]
+            pairs = [(x, r), (r, x), (r, r), (r.inverse() if q else r, x)]
+            pairs += [(x, s) for s in scalars] + [(s, x) for s in scalars]
+            for a, b in pairs:
+                ca, cb = (v.coords if isinstance(v, FieldElem)
+                          else t.from_rational(v).coords for v in (a, b))
+                for got, want in ((a * b, _ref_mul(ca, cb, rads)),
+                                  (a + b, _ref_add(ca, cb)),
+                                  (a - b, _ref_add(ca, cb, -1))):
+                    assert (got.num, got.den) == _canonical(t, want)
+                    assert all(type(v) is int for v in got.num)
+            if q:
+                inv = r.inverse()
+                assert (inv.num, inv.den) == _canonical(t, _ref_inv(r.coords,
+                                                                    rads))
+    for z in (t.zero(), t.from_rational(F(0, 5))):
+        with pytest.raises(NoInverse):
+            z.inverse()
+
+
+@pytest.mark.parametrize("t", KERNEL_TOWERS, ids=KERNEL_IDS)
+def test_int_comparison_agrees_with_from_rational(t):
+    rng = random.Random(f"eq:{t!r}")
+    ks = [-2, 0, 1, 3, True, False]
+    elems = [t.from_rational(F(k)) for k in ks if type(k) is int]
+    elems += [t.from_rational(F(5, 2)), t.from_rational(F(-1, 3)),
+              t.element([3] + [1] * (t.degree - 1)),
+              t.element([1] + [F(1, 2)] * (t.degree - 1))]
+    elems += [t.root(i) for i in range(t.level)]
+    elems += [random_element(t, rng) for _ in range(4)]
+    for x in elems:
+        for k in ks:
+            assert (x == k) == (x == t.from_rational(F(k)))
+            assert (x != k) == (not x == k)
+    for k in ks:
+        a, b = t.from_rational(k), t.from_rational(F(k))
+        assert (a.num, a.den) == (b.num, b.den)
+        assert a == b and hash(a) == hash(b)
+        assert all(type(v) is int for v in a.num)
 
 
 def test_equal_values_by_different_routes():
