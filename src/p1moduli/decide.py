@@ -2,11 +2,12 @@
 
 Fast paths settle most inputs without local analysis: noncyclic
 automorphism groups, odd degree, and degree 4 always descend. The
-remaining cyclic cases are decided over Q by the compression conic: a
-rational point certifies a projective-line model (built explicitly for
-quadratic descent); no point with even Aut order certifies genuine
-failure; no point with odd Aut order leaves a conic model. Every verdict
-carries a certificate that can be re-checked independently.
+remaining cyclic cases are decided over Q by the compression conic. A
+rational point yields a projective-line model (p1_model), except for
+m = |Aut| > 1 with |H| > 2, where the point itself is the certificate
+(conic_point); no point with even m certifies genuine failure; no point
+with odd m leaves a conic model. Every verdict carries a certificate
+that can be re-checked independently.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
-    hasse_solvable, hilbert_symbol
+    hasse_solvable, hilbert_symbol, parametrize
 from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
     conjugate_divisor, conjugate_mobius
-from .errors import InternalInconsistency, ModelConstructionFailed, \
-    NonElementaryGaloisQuotient, UnsupportedAut
+from .errors import InternalInconsistency, NonElementaryGaloisQuotient, \
+    UnsupportedAut
 from .intmath import primitive_scale
-from .linalg import det, identity, mat_add, mat_map, mat_mul
-from .moduli import CompressedDivisor, ModuliData, \
+from .linalg import det, identity, inverse, mat_add, mat_map, mat_mul, \
+    mat_vec
+from .moduli import CompressedDivisor, CompressionResult, ModuliData, \
     cocycle_class_to_quaternion, compressed_divisor, compression, \
     descent_cocycle, field_of_moduli
-from .projline import Mobius
+from .projline import Mobius, ProjPoint, mobius_from_triples
 
 F = Fraction
 
@@ -40,7 +42,8 @@ class Certificate:
     """Machine-checkable evidence for a verdict.
 
     kind is one of fast_path, p1_model, conic_point, conic_model,
-    obstruction; the payload fields used depend on the kind.
+    obstruction; the payload fields used depend on the kind. A solvable
+    conic gives p1_model, or conic_point when m > 1 and |H| > 2.
     """
 
     __slots__ = ("kind", "rule", "form", "mobius", "conic", "point",
@@ -135,13 +138,12 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
         point = find_point(comp.conic)
         if point is None:
             raise InternalInconsistency("solvable conic without a point")
-        cert = None
-        try:
-            form, mob = build_p1_model(d, data)
-            cert = Certificate("p1_model", form=form, mobius=mob,
-                               conic=comp.conic, point=point)
-        except ModelConstructionFailed:
+        model = build_p1_model(d, data, comp, point)
+        if model is None:
             cert = Certificate("conic_point", conic=comp.conic, point=point)
+        else:
+            cert = Certificate("p1_model", form=model[0], mobius=model[1],
+                               conic=comp.conic, point=point)
         verdict = Verdict(DEFINED_ON_P1, cert, data, comp=comp)
     else:
         cd = compressed_divisor(d, data, comp)
@@ -204,57 +206,96 @@ def _rational_form(coeffs) -> list[Fraction]:
     return [c * s for c in out]
 
 
-def build_p1_model(d: Divisor, data: ModuliData
-                   ) -> tuple[list[Fraction], Mobius]:
-    """A binary form over Q cutting out B^{-1}(D), plus the motion B.
+def build_p1_model(d: Divisor, data: ModuliData, comp: CompressionResult,
+                   point) -> Optional[tuple[list[Fraction], Mobius]]:
+    """A binary form over Q cutting out B^{-1}(D), plus the motion B, for
+    a conic with the rational ``point``. The construction is picked by H,
+    the Galois elements whose conjugate of D is equivalent to D:
 
-    For quadratic descent the witness is adjusted by an automorphism to a
-    strict matrix cocycle (scalars repaired by a norm equation), and B
-    comes from the averaging A + P sigma(A). Larger H is attempted by
-    brute-force cocycle trivialization and may fail.
+    - |H| = 1: D is rational, so its own form with B the identity;
+    - |H| = 2: the norm-equation path (``_norm_equation_model``);
+    - Aut trivial: B from the conic point (``_conic_point_model``);
+    - otherwise (m > 1, |H| > 2) None: decide certifies with the point.
     """
     if not data.fom_is_q:
         raise ValueError("model construction implemented over Q only")
-    tower = d.tower
     h = data.h_indices
     if len(h) == 1:
         return _rational_form(binary_form_coefficients(d)), \
-            Mobius.identity(tower)
-    aut = data.aut
+            Mobius.identity(d.tower)
     if len(h) == 2:
-        si = next(i for i in h if i != 0)
-        sigma = data.group.elements[si]
-        phi = data.cochain[si]
-        for a in aut.elements:
-            cand = a.compose(phi)
-            if not cand.compose(conjugate_mobius(sigma, cand)).is_identity():
-                continue
-            p = _mobius_matrix(cand)
-            k = mat_mul(p, mat_map(sigma, p))
-            lam = k[0][0]
-            if k[0][1] or k[1][0] or k[0][0] != k[1][1]:
-                raise InternalInconsistency("projective identity not scalar")
-            if not lam.is_rational():
-                raise InternalInconsistency("cocycle scalar is irrational")
-            lam_q = lam.as_fraction()
-            rad = tower.rational_radicands()[0]
-            sol = find_point(TernaryForm.diagonal(1, -rad, F(-1) / lam_q))
-            if sol is None:
-                continue
-            x, y, z = sol
-            c = tower.element([F(x, z), F(y, z)])
-            p = mat_map(lambda e: c * e, p)
-            if mat_mul(p, mat_map(sigma, p)) != identity(2):
-                raise InternalInconsistency("scalar repair failed")
-            b = _find_invertible(p, sigma, tower)
-            mob = Mobius(b[0][0], b[0][1], b[1][0], b[1][1])
-            d0 = d.apply(mob.inverse())
-            if conjugate_divisor(sigma, d0) != d0:
-                raise InternalInconsistency("descended divisor not stable")
-            return _rational_form(binary_form_coefficients(d0)), mob
-        raise InternalInconsistency(
-            "no automorphism adjustment trivializes the quadratic cocycle")
-    return _best_effort_model(d, data, aut)
+        return _norm_equation_model(d, data)
+    if data.aut.order == 1:
+        return _conic_point_model(d, data, comp, point)
+    return None
+
+
+def _norm_equation_model(d: Divisor, data: ModuliData
+                         ) -> tuple[list[Fraction], Mobius]:
+    """Quadratic descent: the witness is adjusted by an automorphism to a
+    strict matrix cocycle (scalars repaired by a norm equation), and B
+    comes from the averaging A + P sigma(A)."""
+    tower = d.tower
+    si = data.h_indices[1]  # h_indices is sorted, 0 is the identity
+    sigma = data.group.elements[si]
+    phi = data.cochain[si]
+    for a in data.aut.elements:
+        cand = a.compose(phi)
+        if not cand.compose(conjugate_mobius(sigma, cand)).is_identity():
+            continue
+        p = _mobius_matrix(cand)
+        k = mat_mul(p, mat_map(sigma, p))
+        lam = k[0][0]
+        if k[0][1] or k[1][0] or k[0][0] != k[1][1]:
+            raise InternalInconsistency("projective identity not scalar")
+        if not lam.is_rational():
+            raise InternalInconsistency("cocycle scalar is irrational")
+        lam_q = lam.as_fraction()
+        rad = tower.rational_radicands()[0]
+        sol = find_point(TernaryForm.diagonal(1, -rad, F(-1) / lam_q))
+        if sol is None:
+            continue
+        x, y, z = sol
+        c = tower.element([F(x, z), F(y, z)])
+        p = mat_map(lambda e: c * e, p)
+        if mat_mul(p, mat_map(sigma, p)) != identity(2):
+            raise InternalInconsistency("scalar repair failed")
+        b = _find_invertible(p, sigma, tower)
+        return _descended_model(d, data, Mobius(b[0][0], b[0][1], b[1][0],
+                                                b[1][1]))
+    raise InternalInconsistency(
+        "no automorphism adjustment trivializes the quadratic cocycle")
+
+
+def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
+                       point) -> tuple[list[Fraction], Mobius]:
+    """With Aut trivial the conic is the twisted line itself: for X a
+    rational point of it and C the descent basis, w = C X lies on the
+    Veronese quadric, and z = (w0 : w1), or (w1 : w2) when w0 = 0, has
+    phi_s(s(z)) = z for every s in H. The map M sending 0, 1, oo to three
+    such points then has phi_s s(M) = M, so M^{-1}(D) is Galois-stable."""
+    tower = d.tower
+    par = parametrize(comp.conic, point)
+    basis = inverse(comp.basis_inv)
+    zs = []
+    for s, t in ((0, 1), (1, 0), (1, 1)):
+        w = mat_vec(basis, par.apply(F(s), F(t)))
+        zs.append(ProjPoint(w[1], w[2]) if w[0].is_zero()
+                  else ProjPoint(w[0], w[1]))
+    std = (ProjPoint.finite(tower.zero()), ProjPoint.finite(tower.one()),
+           ProjPoint.infinity(tower))
+    return _descended_model(d, data, mobius_from_triples(*std, *zs))
+
+
+def _descended_model(d: Divisor, data: ModuliData, mob: Mobius
+                     ) -> tuple[list[Fraction], Mobius]:
+    """The rational form of D0 = mob^{-1}(D), once D0 is checked stable
+    under every nonidentity element of H."""
+    d0 = d.apply(mob.inverse())
+    if any(conjugate_divisor(data.group.elements[i], d0) != d0
+           for i in data.h_indices[1:]):
+        raise InternalInconsistency("descended divisor not stable")
+    return _rational_form(binary_form_coefficients(d0)), mob
 
 
 def _find_invertible(p, sigma, tower):
@@ -275,50 +316,6 @@ def _find_invertible(p, sigma, tower):
         if det(b):
             return b
     raise InternalInconsistency("no invertible averaging matrix found")
-
-
-def _best_effort_model(d: Divisor, data: ModuliData, aut: AutGroup):
-    """Trivialize the witness cochain by an Aut-valued adjustment, then
-    average. Only projective consistency is enforced, so the averaging
-    can fail; that is allowed for |H| > 2."""
-    h = [i for i in data.h_indices if i != 0]
-    group = data.group
-    if len(aut.elements) ** len(h) > 4096:
-        raise ModelConstructionFailed("adjustment search space too large")
-    import itertools
-    for choice in itertools.product(aut.elements, repeat=len(h)):
-        cand = {0: Mobius.identity(d.tower)}
-        for i, a in zip(h, choice):
-            cand[i] = a.compose(data.cochain[i])
-        ok = True
-        for i in data.h_indices:
-            si = group.elements[i]
-            for j in data.h_indices:
-                ij = group.table[i][j]
-                if cand[i].compose(conjugate_mobius(si, cand[j])) != cand[ij]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        rng = random.Random(91160252)
-        for _ in range(12):
-            a = [[d.tower.from_rational(rng.randint(-4, 4)) for _ in range(2)]
-                 for _ in range(2)]
-            b = None
-            for i in data.h_indices:
-                si = group.elements[i]
-                term = mat_mul(_mobius_matrix(cand[i]), mat_map(si, a))
-                b = term if b is None else mat_add(b, term)
-            if not det(b):
-                continue
-            mob = Mobius(b[0][0], b[0][1], b[1][0], b[1][1])
-            d0 = d.apply(mob.inverse())
-            if all(conjugate_divisor(group.elements[i], d0) == d0
-                   for i in data.h_indices):
-                return _rational_form(binary_form_coefficients(d0)), mob
-    raise ModelConstructionFailed("cochain does not trivialize strictly")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +359,8 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
             return _fail("form degree mismatch")
         if not all(isinstance(c, Fraction) for c in coeffs):
             return _fail("form coefficients not rational")
+        if not any(coeffs):
+            return _fail("the zero form vanishes everywhere")
         d0 = d.apply(cert.mobius.inverse())
         n = d.degree
         for p in d0.points:

@@ -100,10 +100,6 @@ class GenusTooSmall(P1ModuliError):
     """A branch divisor corresponds to a curve of genus below two."""
 
 
-class ModelConstructionFailed(P1ModuliError):
-    """No projective-line model could be built where one was promised."""
-
-
 class NonCyclicAut(P1ModuliError):
     """Compression requested for a divisor whose automorphism group is
     not cyclic."""

@@ -432,7 +432,7 @@ def test_criterion_10_exact_model_reconstruction():
         point = find_point(comp.conic)
         if point is None:
             continue
-        form, mob = build_p1_model(d, data)
+        form, mob = build_p1_model(d, data, comp, point)
         n = d.degree
         assert len(form) == n + 1
         assert all(isinstance(c, F) for c in form)

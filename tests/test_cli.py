@@ -108,7 +108,7 @@ def test_analyze_reports_conic(tmp_path, capsys):
     assert rep["outcome"] == "DefinedOnP1"
     assert rep["compression"]["quotient_degree"] == 2
     assert len(rep["compression"]["conic"]) == 3
-    assert rep["certificate"]["kind"] in ("p1_model", "conic_point")
+    assert rep["certificate"]["kind"] == "p1_model"
 
 
 def test_analyze_unsupported_base_exit_code(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import importlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from p1moduli import cli
 from p1moduli.conic import (INFINITE_PLACE, PlaceEval, TernaryForm,
-                            hilbert_symbol, parametrize)
+                            find_point, hilbert_symbol, parametrize)
 from p1moduli.construct import _param_of_point, random_twisted_divisor
 from p1moduli.decide import (
     DEFINED_ON_CONIC, DEFINED_ON_P1, NOT_DEFINED, UNSUPPORTED_BASE,
@@ -16,7 +17,7 @@ from p1moduli.decide import (
     verify_certificate)
 from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
 from p1moduli.errors import InternalInconsistency, UnsupportedAut
-from p1moduli.moduli import field_of_moduli
+from p1moduli.moduli import compression, field_of_moduli
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, galois_group, multiquadratic_tower
 
@@ -90,6 +91,30 @@ def obstructed_eight():
     z7 = (i - 2) / (s3 * 5)
     vals = [z1, -z1, z3, -z3, z5, -z5, z7, -z7]
     return Divisor([ProjPoint.finite(v) for v in vals])
+
+
+def c2_symmetric_divisor(seed):
+    """A Galois-stable set over Q(sqrt -1, sqrt 2), symmetric under
+    z -> -z: +-y for y in the Galois orbit of a level-2 element, and +-r
+    for one or two rationals r, moved by a Mobius map with small tower
+    entries. Aut has order 2 and every Galois element is in H."""
+    rng = random.Random(seed)
+    t = multiquadratic_tower([-1, 2])
+    group = galois_group(t)
+
+    def small():
+        return t.element([rng.randint(-2, 2) for _ in range(4)])
+
+    while True:
+        y = t.element([rng.randint(-3, 3) for _ in range(4)])
+        orbit = list(dict.fromkeys(s(y) for s in group.elements))
+        rs = [t.from_rational(F(rng.randint(1, 9), rng.randint(1, 4)))
+              for _ in range(1 + seed % 2)]
+        vals = orbit + [-v for v in orbit] + rs + [-r for r in rs]
+        mob = Mobius(small(), small(), small(), small())
+        if len(orbit) == 4 and len(set(vals)) == len(vals) \
+                and not mob.det().is_zero():
+            return Divisor([ProjPoint.finite(v) for v in vals]).apply(mob)
 
 
 def symbols_agree(symbols, target):
@@ -178,7 +203,8 @@ def test_twisted_six_descends_with_nontrivial_motion():
 def test_build_p1_model_form_vanishes():
     d = twisted_six()
     data = field_of_moduli(d)
-    form, mob = build_p1_model(d, data)
+    comp = compression(d, data)
+    form, mob = build_p1_model(d, data, comp, find_point(comp.conic))
     assert len(form) == 7
     d0 = d.apply(mob.inverse())
     for p in d0.points:
@@ -280,17 +306,57 @@ def test_pointless_conic_gives_conic_model(n, tmp_path, capsys):
     assert rep["certificate"]["kind"] == "conic_model"
 
 
-def test_conic_point_when_the_model_fails():
-    # |H| = 4, so the model comes from the best-effort search, which
-    # fails here; the conic point alone certifies descent
-    d = random_twisted_divisor(6, multiquadratic_tower([-1, 2]), 0)
+TWIST_TOWERS = [[-1, 2], [2, 3], [-1, 3], [5, -3]]
+
+
+@pytest.mark.parametrize("radicands", TWIST_TOWERS,
+                         ids=[",".join(map(str, r)) for r in TWIST_TOWERS])
+def test_trivial_aut_model_from_conic_point(radicands):
+    # Aut trivial and |H| = 4: the conic point is the descent datum
+    d = random_twisted_divisor(6, multiquadratic_tower(radicands), 0)
     v = decide(d)
     assert v.outcome == DEFINED_ON_P1
+    assert v.aut.order == 1 and len(v.moduli.h_indices) == 4
+    cert = v.certificate
+    assert cert.kind == "p1_model"
+    assert verify_certificate(d, v)
+    d0 = d.apply(cert.mobius.inverse())
+    for sigma in galois_group(d.tower).elements:
+        assert conjugate_divisor(sigma, d0) == d0
+
+
+def test_conic_point_model_off_the_fixed_locus_raises(monkeypatch):
+    decide_mod = importlib.import_module("p1moduli.decide")
+    d = random_twisted_divisor(6, multiquadratic_tower([-1, 2]), 0)
+    triples = decide_mod.mobius_from_triples
+    i = d.tower.root(0)
+
+    def moved(*points):
+        z3 = points[5]
+        return triples(*points[:5], ProjPoint(z3.x + z3.y * i, z3.y))
+
+    monkeypatch.setattr(decide_mod, "mobius_from_triples", moved)
+    with pytest.raises(InternalInconsistency,
+                       match="descended divisor not stable"):
+        decide(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conic_point_when_aut_and_h_are_both_nontrivial(seed):
+    # m = 2 and |H| = 4: no model construction applies, so the conic
+    # point alone certifies descent
+    d = c2_symmetric_divisor(seed)
+    assert d.degree == (10, 12)[seed]
+    v = decide(d)
+    assert v.outcome == DEFINED_ON_P1
+    assert v.aut.order == 2 and len(v.moduli.h_indices) == 4
     cert = v.certificate
     assert cert.kind == "conic_point"
     assert cert.conic.evaluate([F(c) for c in cert.point]) == 0
     assert verify_certificate(d, v)
-    cert.point = (cert.point[0] + 1,) + tuple(cert.point[1:])
+    # (x + 1, y, z) can stay on these conics, e.g. from (1, 0, 0)
+    x, y, z = cert.point
+    cert.point = (x, y + 1, z)
     res = verify_certificate(d, v)
     assert not res and "conic" in res.reason
 
@@ -379,6 +445,15 @@ def test_corrupted_model_detected():
     bad[0] += 1
     v.certificate.form = bad
     assert not verify_certificate(d, v)
+
+
+def test_zero_form_rejected():
+    d = rational_divisor(0, 1, 2, 3, 4, 5)
+    v = decide(d)
+    assert v.certificate.kind == "p1_model"
+    v.certificate.form = [F(0)] * 7
+    res = verify_certificate(d, v)
+    assert not res and "zero form" in res.reason
 
 
 def test_wrong_outcome_for_certificate_detected():

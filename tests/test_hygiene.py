@@ -143,3 +143,49 @@ def test_no_unreferenced_public_functions_in_package():
     users = {path.name: path.read_text(encoding="utf-8")
              for path in sorted(Path(__file__).parent.glob("*.py"))}
     assert unreferenced_public_functions(package, users) == []
+
+
+def unraised_exception_classes(errors: str,
+                               sources: dict[str, str]) -> list[str]:
+    """Classes defined in ``errors`` that no ``raise`` in ``sources``
+    names; a class that some class subclasses is exempt. Catching a
+    class is not a use: an ``except`` for an exception nothing raises is
+    dead too."""
+    used = set()
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                used.update(mentions(exc))
+            elif isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    used.update(mentions(base))
+    return sorted(f"{node.name} (line {node.lineno})"
+                  for node in ast.parse(errors).body
+                  if isinstance(node, ast.ClassDef) and node.name not in used)
+
+
+def test_unraised_exception_class_detector():
+    errors = ("class Base(Exception):\n    pass\n"
+              "class Raised(Base):\n    pass\n"
+              "class Called(Base):\n    pass\n"
+              "class Caught(Base):\n    pass\n"
+              "class Parent(Base):\n    pass\n")
+    sources = {
+        "errors.py": errors,
+        "a.py": ("from . import errors\nfrom .errors import *\n"
+                 "class Child(Parent):\n    pass\n"
+                 "def f():\n    raise Raised\n"
+                 "def g(e):\n    raise errors.Called(str(e)) from e\n"
+                 "def h():\n    try:\n        f()\n"
+                 "    except Caught:\n        raise\n"),
+    }
+    assert unraised_exception_classes(errors, sources) == [
+        "Caught (line 7)"]
+
+
+def test_every_exception_class_is_raised():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unraised_exception_classes(sources["errors.py"], sources) == []
