@@ -18,8 +18,8 @@ from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
     hasse_solvable, hilbert_symbol, parametrize
-from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
-    conjugate_divisor, conjugate_mobius
+from .divisor import AutGroup, Divisor, TripleTable, conjugate_divisor, \
+    conjugate_mobius
 from .errors import InternalInconsistency, NonElementaryGaloisQuotient, \
     UnsupportedAut
 from .intmath import primitive_scale
@@ -43,19 +43,21 @@ class Certificate:
 
     kind is one of fast_path, p1_model, conic_point, conic_model,
     obstruction; the payload fields used depend on the kind. A solvable
-    conic gives p1_model, or conic_point when m > 1 and |H| > 2.
+    conic gives p1_model, or conic_point when m > 1 and |H| > 2. The
+    noncyclic fast path carries two involutions of D (``pair``).
     """
 
-    __slots__ = ("kind", "rule", "form", "mobius", "conic", "point",
+    __slots__ = ("kind", "rule", "pair", "form", "mobius", "conic", "point",
                  "compressed", "failing", "symbols")
 
-    def __init__(self, kind: str, rule: Optional[str] = None, form=None,
-                 mobius: Optional[Mobius] = None,
+    def __init__(self, kind: str, rule: Optional[str] = None, pair=None,
+                 form=None, mobius: Optional[Mobius] = None,
                  conic: Optional[TernaryForm] = None, point=None,
                  compressed: Optional[CompressedDivisor] = None,
                  failing: Optional[list[PlaceEval]] = None, symbols=None):
         self.kind = kind
         self.rule = rule
+        self.pair = pair
         self.form = form
         self.mobius = mobius
         self.conic = conic
@@ -114,12 +116,14 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
     aut = data.aut
     n = d.degree
 
-    def fast(rule: str, notes=()) -> Verdict:
-        return Verdict(DEFINED_ON_P1, Certificate("fast_path", rule=rule),
-                       data, notes=notes)
+    def fast(rule: str, pair=None) -> Verdict:
+        return Verdict(DEFINED_ON_P1,
+                       Certificate("fast_path", rule=rule, pair=pair), data)
 
     if not aut.is_cyclic():
-        return fast("noncyclic")
+        # every noncyclic finite Mobius group holds two involutions
+        invs = [e for e, o in zip(aut.elements, aut.orders) if o == 2]
+        return fast("noncyclic", tuple(invs[:2]))
     if n % 2 == 1:
         return fast("n odd")
     if n == 4:
@@ -362,11 +366,12 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
         if not any(coeffs):
             return _fail("the zero form vanishes everywhere")
         d0 = d.apply(cert.mobius.inverse())
-        n = d.degree
         for p in d0.points:
-            val = d.tower.zero()
-            for k, c in enumerate(coeffs):
-                val = val + (p.x ** (n - k)) * (p.y ** k) * c
+            # Horner's rule at (x : 1); at (1 : 0) only c_0 survives
+            val = d.tower.from_rational(coeffs[0])
+            if not p.is_infinity():
+                for c in coeffs[1:]:
+                    val = val * p.x + c
             if not val.is_zero():
                 return _fail("form does not vanish on the descended divisor")
         return VerifyResult(True)
@@ -411,8 +416,16 @@ def _verify_fast_path(d: Divisor, v: Verdict, cert: Certificate
                       ) -> VerifyResult:
     rule = cert.rule
     if rule == "noncyclic":
-        if compute_aut(d).is_cyclic():
-            return _fail("Aut is cyclic; noncyclic rule does not apply")
+        # g(D) = D puts g in Aut; a cyclic group is abelian and holds at
+        # most one involution
+        pair = cert.pair or ()
+        if len(pair) != 2 or any(g.is_identity() or g.tower != d.tower
+                                 or d.apply(g) != d for g in pair):
+            return _fail("noncyclic rule needs two automorphisms of D")
+        g, h = pair
+        if g.compose(h) == h.compose(g) and (g == h or not all(
+                x.compose(x).is_identity() for x in pair)):
+            return _fail("the pair lies in a cyclic group")
         return VerifyResult(True)
     if rule == "n odd":
         if d.degree % 2 == 0:

@@ -7,15 +7,16 @@ is one scan of the ordered triples t of a divisor for those whose
 cross-ratios with the other points all lie in a target signature
 (``_matches``). Matching the base triple's own signature gives Aut(P1,
 D); the first match of another divisor's signature is an equivalence
-witness. The first cross-ratio of each triple is kept by scan index, so
-every later scan of the same divisor tests most triples by one set
-lookup. The groups are the classical finite Mobius groups, classified
-by element-order statistics.
+witness. Each match also yields the map's permutation of the points,
+read off the matching cross-ratios. The first cross-ratio of each
+triple is kept by scan index, so every later scan of the same divisor
+tests most triples by one set lookup. The groups are the classical
+finite Mobius groups, classified by element-order statistics.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .projline import Mobius, ProjPoint, bracket, mobius_from_triples, \
     one_point, zero_point
-from .qfield import FieldTower, GaloisAut
+from .qfield import GaloisAut
 
 
 class Divisor:
@@ -71,9 +72,6 @@ class Divisor:
 
     def apply(self, m: Mobius) -> "Divisor":
         return Divisor(m(p) for p in self.points)
-
-    def embed(self, tower: FieldTower) -> "Divisor":
-        return Divisor(p.embed(tower) for p in self.points)
 
 
 def conjugate_divisor(sigma: GaloisAut, d: Divisor) -> Divisor:
@@ -245,27 +243,30 @@ def _cross_ratios(br, inv, t):
             if k != a and k != b and k != c)
 
 
-def _base_signature(pts) -> frozenset:
-    """The signature of a point list at its first three points: the set
-    of cross-ratios of the other points with them."""
-    return frozenset(_cross_ratios(*_brackets(pts, (0, 2)), (0, 1, 2)))
+def _signature(br, inv, t) -> dict:
+    """The cross-ratio of each point outside t with t, to its index."""
+    others = (k for k in range(len(br[t[0]])) if k not in t)
+    return dict(zip(_cross_ratios(br, inv, t), others))
 
 
-def _matches(src, pts, br, inv, first):
-    """The maps sending the first three points of ``src`` to the ordered
-    triples of ``pts`` (with full bracket table br, inv) of the same
-    signature, in scan order; a candidate triple is dropped at its first
-    miss. The n - 3 cross-ratios of a triple are distinct, so for
-    equal degrees the subset test is equality of signatures.
+def _matches(src, base, sig, pts, br, inv, first):
+    """The maps M sending src[i], i in ``base``, to the ordered triples t of
+    ``pts`` (with full bracket table br, inv) of signature ``sig`` (src's
+    own at base), in scan order, each with perm[i] = the index of M(src[i])
+    in pts: cross-ratios are Mobius invariant, so that is the point whose
+    cross-ratio with t is src[i]'s with the base. A candidate triple is
+    dropped at its first miss. The n - 3 cross-ratios of a triple are
+    distinct, so for equal degrees the subset test is equality of
+    signatures.
 
     ``first[s]`` is the first cross-ratio of the triple at scan index s,
     or None at degree 3, where no other point exists and every triple
     matches the empty signature. A slot is filled when its triple is
     first visited; a triple whose slot is filled costs a set lookup, and
     only a hit computes its other cross-ratios."""
-    target = _base_signature(src)
-    hits = target | {None}
-    for s, t in enumerate(ordered_triples(len(pts))):
+    hits = sig.keys() | {None}
+    n = len(pts)
+    for s, t in enumerate(ordered_triples(n)):
         if s == len(first):
             rest = _cross_ratios(br, inv, t)
             first.append(next(rest, None))
@@ -273,14 +274,24 @@ def _matches(src, pts, br, inv, first):
             rest = islice(_cross_ratios(br, inv, t), 1, None)
         else:
             continue
-        if first[s] in hits and all(v in target for v in rest):
-            yield mobius_from_triples(*src[:3], *(pts[k] for k in t))
+        if first[s] not in hits:
+            continue
+        perm = dict(zip(base, t))
+        others = (k for k in range(n) if k not in t)
+        for k, v in zip(others, chain((first[s],), rest)):
+            if v not in sig:
+                break
+            perm[sig[v]] = k
+        else:
+            yield (mobius_from_triples(*(src[i] for i in base),
+                                       *(pts[k] for k in t)),
+                   tuple(map(perm.get, range(n))))
 
 
 class TripleTable:
     """The bracket table of a divisor, the first cross-ratio of every
     ordered triple and the stabilizer ``aut``, all from one full scan;
-    each ``witness`` search reads the first cross-ratios back instead of
+    each Galois witness search reads the first cross-ratios back instead of
     recomputing them. Not cached."""
 
     __slots__ = ("divisor", "br", "inv", "first", "aut")
@@ -292,15 +303,21 @@ class TripleTable:
         self.divisor = d
         self.br, self.inv = _brackets(pts, range(len(pts)))
         self.first = []
-        self.aut = AutGroup(_matches(pts, pts, self.br, self.inv, self.first))
+        sig = _signature(self.br, self.inv, (0, 1, 2))
+        self.aut = AutGroup(m for m, _ in _matches(
+            pts, (0, 1, 2), sig, pts, self.br, self.inv, self.first))
 
-    def witness(self, e: Divisor) -> Optional[Mobius]:
-        """The map pgl2_equivalent(e, D) returns: it sends the first three
-        points of e to the first triple of D in scan order with the same
-        signature."""
-        if e.degree != self.divisor.degree:
-            return None
-        return next(_matches(e.points, self.divisor.points, self.br,
+    def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
+        """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with
+        phi(sigma(p_k)) = p_{pi[k]}; or None. Cross-ratios are rational in
+        the points, so sigma(D)'s signature is sigma of D's at the preimages
+        of its first three points: no bracket of sigma(D) is computed."""
+        moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in self.divisor]
+        base = tuple(sorted(range(len(moved)),
+                            key=lambda k: moved[k].sort_key())[:3])
+        sig = {sigma(v): k for v, k in
+               _signature(self.br, self.inv, base).items()}
+        return next(_matches(moved, base, sig, self.divisor.points, self.br,
                              self.inv, self.first), None)
 
 
@@ -339,5 +356,8 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
     if d1.degree < 3:
         return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
     br, inv = _brackets(d2.points, range(d2.degree))
-    return next(_matches(d1.points, d2.points, br, inv, []), None)
+    sig = _signature(*_brackets(d1.points, (0, 2)), (0, 1, 2))
+    hit = next(_matches(d1.points, (0, 1, 2), sig, d2.points, br, inv, []),
+               None)
+    return hit[0] if hit else None
 

@@ -28,7 +28,6 @@ from .divisor import (
     AutGroup,
     Divisor,
     TripleTable,
-    conjugate_divisor,
     conjugate_mobius,
 )
 from .errors import (
@@ -41,7 +40,8 @@ from .errors import (
 from .intmath import primitive_scale
 from .linalg import det, inverse, mat_map, mat_mul, mat_vec, proportional, \
     transpose
-from .projline import Mobius, ProjPoint, mobius_from_triples, mobius_order_and_fixed
+from .projline import Mobius, ProjPoint, mobius_order_and_fixed, \
+    mobius_to_triple
 from .qfield import (
     FieldElem,
     FieldTower,
@@ -56,17 +56,18 @@ F = Fraction
 
 
 class ModuliData:
-    """H, the witness cochain, the field of moduli and Aut(P1, D)."""
+    """H, the witnesses and their permutations of D, fom and Aut(P1, D)."""
 
-    __slots__ = ("group", "h_indices", "cochain", "fom", "fom_is_q", "divisor",
-                 "aut")
+    __slots__ = ("group", "h_indices", "cochain", "perms", "fom", "fom_is_q",
+                 "divisor", "aut")
 
     def __init__(self, group: GaloisGroup, h_indices: tuple[int, ...],
-                 cochain: dict[int, Mobius], fom: SubfieldPresentation,
-                 divisor: Divisor, aut: AutGroup):
+                 cochain: dict[int, Mobius], perms: dict[int, tuple],
+                 fom: SubfieldPresentation, divisor: Divisor, aut: AutGroup):
         self.group = group
         self.h_indices = h_indices
         self.cochain = cochain
+        self.perms = perms
         self.fom = fom
         self.fom_is_q = fom.tower.level == 0
         self.divisor = divisor
@@ -79,8 +80,9 @@ class ModuliData:
 
 def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
                     ) -> ModuliData:
-    """H = {sigma : sigma(D) ~ D}, one equivalence witness per element,
-    and the fixed field of H.
+    """H = {sigma : sigma(D) ~ D}, one equivalence witness per element
+    with its permutation pi of D, phi_sigma(sigma(p_k)) = p_{pi(k)}, and
+    the fixed field of H.
 
     Each witness is the first match of sigma(D)'s signature in the
     triple table of D (built here unless given). Cosets are eliminated
@@ -96,18 +98,18 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     group = galois_group(d.tower)
     n = group.order
     cochain: dict[int, Mobius] = {0: Mobius.identity(d.tower)}
+    perms = {0: tuple(range(d.degree))}
     not_in_h: set[int] = set()
     for i in range(1, n):
         if i in cochain or i in not_in_h:
             continue
-        sigma = group.elements[i]
-        witness = table.witness(conjugate_divisor(sigma, d))
-        if witness is None:
+        hit = table.galois_witness(group.elements[i])
+        if hit is None:
             not_in_h.update(group.table[i][j] for j in cochain)
             continue
-        cochain[i] = witness
+        cochain[i], perms[i] = hit
         # close the witness set under composition:
-        # phi_{sigma tau} = phi_sigma o sigma(phi_tau)
+        # phi_{st} = phi_s o s(phi_t) and pi_{st} = pi_s o pi_t
         changed = True
         while changed:
             changed = False
@@ -117,16 +119,23 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
                     if ab not in cochain:
                         cochain[ab] = cochain[a].compose(
                             conjugate_mobius(group.elements[a], cochain[b]))
+                        perms[ab] = tuple(perms[a][k] for k in perms[b])
                         changed = True
         not_in_h = {group.table[j][k] for j in not_in_h for k in cochain}
     h = tuple(sorted(cochain))
     if group.subgroup_closure(h) != frozenset(h):
         raise InternalInconsistency("H is not closed under composition")
+    # pi is read off exact cross-ratio matches (or composes such), so a
+    # Mobius map sends each sigma(p_k) to p_{pi(k)}; fixed by three points,
+    # it is phi_sigma once phi_sigma agrees with it on p_0, p_1, p_2
     for i in h:
-        if set(_moved_points(group.elements[i], cochain[i], d)) != set(d):
+        sigma, pi = group.elements[i], perms[i]
+        if set(pi) != set(range(d.degree)) or any(
+                cochain[i](ProjPoint(sigma(p.x), sigma(p.y))) != d.points[k]
+                for p, k in zip(d.points[:3], pi)):
             raise InternalInconsistency("witness does not carry sigma(D) to D")
     fom = fixed_subtower(group, h)
-    return ModuliData(group, h, cochain, fom, d, table.aut)
+    return ModuliData(group, h, cochain, perms, fom, d, table.aut)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +156,12 @@ class Cocycle:
         return f"Cocycle({nontriv} nontrivial of {len(self.values)})"
 
 
-def _moved_points(sigma: GaloisAut, m: Mobius, d: Divisor):
-    """m(sigma(p)) for the points p of d, in their order."""
-    return [m(ProjPoint(sigma(p.x), sigma(p.y))) for p in d.points]
-
-
 def descent_cocycle(data: ModuliData) -> Cocycle:
     """c_{sigma,tau} = phi_sigma o sigma(phi_tau) o phi_{sigma tau}^-1,
     computed on the points p_k of D.
 
-    Each witness permutes D: phi_i(sigma_i p_k) = p_{pi_i(k)}. Then c_{i,j}
+    Each witness permutes D: phi_i(sigma_i p_k) = p_{pi_i(k)}, with pi_i
+    kept in ``data.perms``, so no witness images D here. Then c_{i,j}
     acts on D as pi_i pi_j pi_{ij}^-1, and the twist a -> phi_i o sigma_i(a)
     o phi_i^-1 as pi_i perm(a) pi_i^-1. A Mobius map is fixed by the
     images of three points, so for n >= 3 an element of Aut(P1, D) is
@@ -165,17 +170,14 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
     The twisted 2-cocycle identity is asserted exactly over all of H^3,
     by lookups in the multiplication table of Aut. Unlike the 1-cocycle
     identities of ``compression`` it is not cut down to generators of H:
-    its |H|^3 checks are table lookups, cheap next to the |H| n point
-    images that build the permutations.
+    its |H|^3 checks are table lookups, cheap next to the |Aut| n point
+    images that build the permutations of Aut.
     """
     aut, d = data.aut, data.divisor
-    group, h = data.group, data.h_indices
+    group, h, pi = data.group, data.h_indices, data.perms
     where = {p: k for k, p in enumerate(d.points)}.get
     perms = [tuple(map(where, map(a, d.points))) for a in aut.elements]
     pos = {q: k for k, q in enumerate(perms)}
-    pi = {i: tuple(map(where, _moved_points(group.elements[i],
-                                             data.cochain[i], d)))
-          for i in h}
     if any(set(pi[i]) != set(range(d.degree)) for i in h):
         raise InternalInconsistency("cocycle value moves the divisor")
     # sorting the positions by their images inverts a permutation
@@ -297,13 +299,13 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     embedding of the target is descended through the exact
     symmetric-square cocycle.
 
-    Every twisted witness is checked on the moved divisor, and every
-    descended map psi on a test point. The 1-cocycle identities of psi
-    and of rho = Sym^2(psi)/det(psi) are checked for s in a greedy
-    generating set S of H2 and every t (``_assert_cocycle`` says why
-    that is enough), and each projector output only for fixity under S:
-    once rho is a cocycle, v -> rho_s s(v) is an action of H2, so a
-    vector fixed by S is fixed by all of H2.
+    Every twisted witness is checked on three moved points of D against its
+    permutation, and every descended map psi on a test point. The 1-cocycle
+    identities of psi and of rho = Sym^2(psi)/det(psi) are checked for s in
+    a greedy generating set S of H2 and every t (``_assert_cocycle`` says
+    why that is enough), and each projector output only for fixity under S:
+    once rho is a cocycle, v -> rho_s s(v) is an action of H2, so a vector
+    fixed by S is fixed by all of H2.
     """
     aut = data.aut
     if not aut.is_cyclic():
@@ -332,30 +334,33 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("scaling factor is not an m-th root of 1")
 
     h2, restr = _lift_subgroup(tower2, base, data.group, data.h_indices)
-    cochain2 = {k: data.cochain[restr[k]].embed(tower2)
-                for k in range(h2.order)}
-    d2 = d.embed(tower2).apply(kappa)
+    moved = [kappa(p.embed(tower2)) for p in d.points]  # kappa(D), D's order
 
-    # twisted maps phi~ = kappa o phi o s(kappa)^-1 stabilize the moved divisor
+    # twisted maps phi~ = kappa o phi o s(kappa)^-1 send s(kappa p_k) to
+    # kappa p_{pi(k)} for every k; a Mobius map is fixed by three points,
+    # so three of them check it
     phit: dict[int, Mobius] = {}
     for k in range(h2.order):
-        s = h2.elements[k]
-        phit[k] = kappa.compose(cochain2[k]).compose(
+        s, pi = h2.elements[k], data.perms[restr[k]]
+        phit[k] = kappa.compose(data.cochain[restr[k]].embed(tower2)).compose(
             conjugate_mobius(s, kappa).inverse())
-        if set(_moved_points(s, phit[k], d2)) != set(d2):
+        if any(phit[k](ProjPoint(s(q.x), s(q.y))) != moved[j]
+               for q, j in zip(moved[:3], pi)):
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
     # descend each phi~ through q(w) = w^m via three rational sections
     sections = [ProjPoint.finite(tower2.from_rational(2)),
                 ProjPoint.finite(tower2.from_rational(3)),
                 ProjPoint.infinity(tower2)]
+    from_sections = mobius_to_triple(
+        *(_power_map(w, m) for w in sections)).inverse()
     check_pt = ProjPoint.finite(tower2.from_rational(5))
+    check_image = _power_map(check_pt, m)
     psi: dict[int, Mobius] = {}
     for k in range(h2.order):
-        srcs = [_power_map(w, m) for w in sections]
-        dsts = [_power_map(phit[k](w), m) for w in sections]
-        psi[k] = mobius_from_triples(*srcs, *dsts)
-        if psi[k](_power_map(check_pt, m)) != _power_map(phit[k](check_pt), m):
+        psi[k] = mobius_to_triple(*(_power_map(phit[k](w), m)
+                                    for w in sections)).compose(from_sections)
+        if psi[k](check_image) != _power_map(phit[k](check_pt), m):
             raise DescentFailure("quotient map does not descend the witness")
     # a trivial H2 has no generators; its one pair (1, 1) is still checked
     gens = h2.generators(range(h2.order)) or [0]
@@ -411,8 +416,9 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("compression conic is singular")
 
     return CompressionResult(
-        m=m, tower2=tower2, zeta=zeta, divisor_conj=d2, h2_group=h2,
-        psi=psi, basis_inv=basis_inv, conic=conic, conic_gram_fom=gram_fom)
+        m=m, tower2=tower2, zeta=zeta, divisor_conj=Divisor(moved),
+        h2_group=h2, psi=psi, basis_inv=basis_inv, conic=conic,
+        conic_gram_fom=gram_fom)
 
 
 def _assert_cocycle(group: GaloisGroup, gens: list[int], values: dict,

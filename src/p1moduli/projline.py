@@ -201,7 +201,7 @@ def bracket(p: ProjPoint, q: ProjPoint) -> FieldElem:
     return p.x * q.y - q.x * p.y
 
 
-def _std_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
+def mobius_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
     """The Mobius taking (0, 1, inf) to (p1, p2, p3)."""
     # columns: (b,d) ~ p1, (a,c) ~ p3, scaled so they sum to [p3, p1] p2;
     # the determinant [p2, p1][p3, p2][p3, p1] vanishes exactly when two
@@ -216,7 +216,8 @@ def _std_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
 def mobius_from_triples(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
                         q1: ProjPoint, q2: ProjPoint, q3: ProjPoint) -> Mobius:
     """The unique Mobius transformation sending p_i to q_i."""
-    return _std_to_triple(q1, q2, q3).compose(_std_to_triple(p1, p2, p3).inverse())
+    return mobius_to_triple(q1, q2, q3).compose(
+        mobius_to_triple(p1, p2, p3).inverse())
 
 
 def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
@@ -226,7 +227,7 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     The first three points must be pairwise distinct; the value is (1:0)
     when p4 coincides with p3.
     """
-    return _std_to_triple(p1, p2, p3).inverse().apply(p4)
+    return mobius_to_triple(p1, p2, p3).inverse().apply(p4)
 
 
 # ---------------------------------------------------------------------------

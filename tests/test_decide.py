@@ -151,6 +151,64 @@ def test_klein_four_is_noncyclic_fast_path():
     assert verify_certificate(klein_four(), v)
 
 
+def klein_six():
+    # {+-1, +-2, +-1/2}: Aut is the Klein four-group of z -> -z, 1/z
+    return rational_divisor(1, -1, 2, -2, F(1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize("make", [klein_four, klein_six])
+def test_noncyclic_certificate_carries_a_pair(monkeypatch, make):
+    d = make()
+    v = decide(d)
+    assert v.certificate.rule == "noncyclic"
+    g, h = v.certificate.pair
+    assert g in v.aut and h in v.aut and g != h
+    assert all(x.compose(x).is_identity() and not x.is_identity()
+               for x in (g, h))
+    # the verifier images D by the pair and never scans triples again
+    divisor_mod = importlib.import_module("p1moduli.divisor")
+
+    def no_scan(n):
+        raise AssertionError("verify_certificate scanned triples")
+
+    monkeypatch.setattr(divisor_mod, "ordered_triples", no_scan)
+    assert verify_certificate(d, v)
+
+
+def test_noncyclic_certificate_rejects_bad_pairs():
+    d = klein_four()
+    v = decide(d)
+    g, h = v.certificate.pair
+    four = v.aut.elements[v.aut.orders.index(4)]
+    involution = v.aut.elements[v.aut.orders.index(2)]
+    shift = Mobius.from_rationals(QQ, 1, 1, 0, 1)  # z -> z + 1, not in Aut
+    t = multiquadratic_tower([2])
+    foreign = Mobius.from_rationals(t, 0, 1, 1, 0)
+    for pair, reason in (
+            (None, "two automorphisms"),
+            ((g,), "two automorphisms"),
+            ((g, shift), "two automorphisms"),
+            ((foreign, h), "two automorphisms"),
+            ((g, g), "cyclic group"),
+            ((four, four.inverse()), "cyclic group"),
+            ((involution, Mobius.identity(QQ)), "two automorphisms")):
+        v.certificate.pair = pair
+        res = verify_certificate(d, v)
+        assert not res and reason in res.reason, pair
+    # a pair that does not commute passes, whatever the orders
+    reflection = next(e for e in v.aut.elements
+                      if e.compose(four) != four.compose(e))
+    v.certificate.pair = (four, reflection)
+    assert verify_certificate(d, v)
+    # two distinct commuting involutions of the Klein four-group pass
+    d = klein_six()
+    v = decide(d)
+    assert v.aut.tag.label() == "dihedral(2)"
+    a, b = v.aut.elements[1:3]
+    v.certificate.pair = (a, b)
+    assert verify_certificate(d, v)
+
+
 def test_odd_degree_fast_path():
     d = rational_divisor(0, 1, 2, 3, 7)
     v = decide(d)
@@ -430,12 +488,46 @@ def test_decide_scans_the_triples_once(monkeypatch):
     assert len(cross_ratio_calls) <= n * (n - 1) * (n - 2) + 16
 
 
+def test_decide_images_no_divisor_again(monkeypatch):
+    # each witness carries its permutation of D, so the field of moduli,
+    # the descent cocycle and the compression check three points per
+    # witness instead of imaging all of D: 144 point images, 288 before
+    counted = []
+    apply = Mobius.apply
+
+    def counting(self, p):
+        counted.append(p)
+        return apply(self, p)
+
+    monkeypatch.setattr(Mobius, "apply", counting)
+    monkeypatch.setattr(Mobius, "__call__", counting)
+    v = decide(obstructed_eight())
+    assert v.outcome == NOT_DEFINED and v.certificate.symbols
+    assert 0 < len(counted) <= 144
+
+
 def test_fake_failing_place_detected():
     d = obstructed_eight()
     v = decide(d)
     v.certificate.failing = [PlaceEval(7, -1), PlaceEval(11, -1)]
     res = verify_certificate(d, v)
     assert not res and "7" in res.reason
+
+
+def test_p1_model_form_checked_at_infinity():
+    # D0 = D holds oo; X g, with g the form of the finite points,
+    # vanishes on all of them and only oo tells it from the true form
+    finite = [fin(QQ, v) for v in (0, 1, 2, 3, 5)]
+    d = Divisor(finite + [ProjPoint.infinity(QQ)])
+    v = decide(d)
+    assert v.certificate.kind == "p1_model"
+    assert v.certificate.mobius.is_identity()
+    assert v.certificate.form[0] == 0
+    assert verify_certificate(d, v)
+    g = binary_form_coefficients(Divisor(finite))
+    v.certificate.form = [c.as_fraction() for c in g] + [F(0)]
+    res = verify_certificate(d, v)
+    assert not res and "does not vanish" in res.reason
 
 
 def test_corrupted_model_detected():

@@ -10,6 +10,9 @@ from p1moduli.divisor import (
     AutGroup,
     Divisor,
     TripleTable,
+    _brackets,
+    _matches,
+    _signature,
     compute_aut,
     conjugate_divisor,
     pgl2_equivalent,
@@ -439,7 +442,8 @@ def assert_table_matches_oracle(d):
     assert set(table.aut.elements) == set(found)
     for sigma in galois_group(d.tower).elements:
         moved = conjugate_divisor(sigma, d)
-        assert table.witness(moved) == oracle_equivalent(moved, d)
+        hit = table.galois_witness(sigma)
+        assert (hit and hit[0]) == oracle_equivalent(moved, d)
     return table
 
 
@@ -455,8 +459,7 @@ def test_table_on_counterexample_divisor():
     assert table.aut.order == 2
     # every sigma has a witness: the field of moduli is Q
     group = galois_group(d.tower)
-    assert all(table.witness(conjugate_divisor(s, d)) is not None
-               for s in group.elements)
+    assert all(table.galois_witness(s) is not None for s in group.elements)
 
 
 def test_degree_six_c2_table():
@@ -465,6 +468,15 @@ def test_degree_six_c2_table():
     assert table.aut.tag.label() == "cyclic(2)"
     assert Mobius(d.tower.zero(), d.tower.from_rational(2), d.tower.one(),
                   d.tower.zero()) in table.aut
+
+
+def kept_first_witness(table, e):
+    """The first map from e onto the table's divisor, found by a scan
+    that reads back the first cross-ratios the Aut scan kept."""
+    sig = _signature(*_brackets(e.points, (0, 2)), (0, 1, 2))
+    hit = next(_matches(e.points, (0, 1, 2), sig, table.divisor.points,
+                        table.br, table.inv, table.first), None)
+    return hit and hit[0]
 
 
 def test_table_witness_for_moved_and_foreign_divisors():
@@ -476,15 +488,17 @@ def test_table_witness_for_moved_and_foreign_divisors():
                      for _ in range(2)),
                    d.tower.one(), d.tower.from_rational(7))
         moved = d.apply(m)
-        w = table.witness(moved)
-        assert w == oracle_equivalent(moved, d)
+        w = kept_first_witness(table, moved)
+        assert w == oracle_equivalent(moved, d) == pgl2_equivalent(moved, d)
         assert moved.apply(w) == d
         other = random_tower_divisor(rng, d.tower, d.degree)
-        assert table.witness(other) == oracle_equivalent(other, d)
-        # one point more: its signature holds every cross-ratio of D
+        assert kept_first_witness(table, other) \
+            == oracle_equivalent(other, d) == pgl2_equivalent(other, d)
+        # one point more: its signature holds every cross-ratio of D, so
+        # only the degree test refuses it
         bigger = Divisor(list(d.points) + [ProjPoint.finite(
             d.tower.from_rational(100 + max(abs(p.x.coords[0]) for p in d)))])
-        assert table.witness(bigger) is None
+        assert pgl2_equivalent(bigger, d) is None
 
 
 def test_pgl2_equivalent_matches_oracle():
@@ -497,6 +511,50 @@ def test_pgl2_equivalent_matches_oracle():
             assert pgl2_equivalent(e, d) == oracle_equivalent(e, d)
         other = random_tower_divisor(rng, d.tower, d.degree)
         assert pgl2_equivalent(d, other) == oracle_equivalent(d, other)
+
+
+def imaged_perm(src, m, pts):
+    """perm[k] = the index in pts of m(src[k]), found by imaging every
+    point."""
+    where = {p: k for k, p in enumerate(pts)}
+    return tuple(where[m(p)] for p in src)
+
+
+def assert_perms_match_imaging(d, rng):
+    table = TripleTable(d)
+    pts = d.points
+    # Aut: the full scan, with the permutation of each element
+    base = (0, 1, 2)
+    sig = _signature(table.br, table.inv, base)
+    hits = list(_matches(pts, base, sig, pts, table.br, table.inv, []))
+    assert {m for m, _ in hits} == set(table.aut.elements)
+    for m, perm in hits:
+        assert perm == imaged_perm(pts, m, pts)
+    # Galois witnesses: today's maps, and pi with phi(sigma p_k) = p_pi(k)
+    for sigma in galois_group(d.tower).elements:
+        moved = conjugate_divisor(sigma, d)
+        hit = table.galois_witness(sigma)
+        assert (hit and hit[0]) == pgl2_equivalent(moved, d) \
+            == oracle_equivalent(moved, d)
+        if hit is not None:
+            conj = [ProjPoint(sigma(p.x), sigma(p.y)) for p in pts]
+            assert hit[1] == imaged_perm(conj, hit[0], pts)
+    # pgl2_equivalent: every map from a planted image e back onto D
+    e = d.apply(random_mobius(rng, d.tower))
+    sig = _signature(*_brackets(e.points, (0, 2)), base)
+    hits = list(_matches(e.points, base, sig, pts, table.br, table.inv, []))
+    assert len(hits) == table.aut.order
+    assert hits[0][0] == pgl2_equivalent(e, d)
+    for m, perm in hits:
+        assert perm == imaged_perm(e.points, m, pts)
+
+
+def test_permutations_read_from_cross_ratios_match_imaging():
+    rng = random.Random(1515)
+    cases = table_cases() + [counterexample_divisor()]
+    assert {d.degree for d in cases} >= {3, 4, 5, 6, 8}
+    for d in cases:
+        assert_perms_match_imaging(d, rng)
 
 
 def test_table_requires_three_points():

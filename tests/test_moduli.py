@@ -132,6 +132,59 @@ def test_fom_nontrivial_witness_needed():
     assert all(not data.cochain[i].is_identity() for i in moved)
 
 
+def spoil_last_call(monkeypatch, name, calls_in_clean_run, spoiler):
+    """Patch moduli.<name> so that its call number calls_in_clean_run
+    (its last one in a run like the clean one) returns a spoiled value;
+    returns the list of its outputs. With 0 it only records them."""
+    real = getattr(moduli, name)
+    calls = []
+
+    def spoiled(*args):
+        out = real(*args)
+        calls.append(out)
+        return spoiler(out) if len(calls) == calls_in_clean_run else out
+
+    monkeypatch.setattr(moduli, name, spoiled)
+    return calls
+
+
+@pytest.mark.parametrize("make", [biquadratic_five_points,
+                                  counterexample_eight])
+def test_spoiled_closure_witness_detected(monkeypatch, make):
+    # closure witnesses phi_a o a(phi_b) are composed, not searched; the
+    # last one composed, spoiled by z -> z + 1 after a(phi_b), must fail
+    # its three-point check against the composed permutation
+    d = make()
+    probe = spoil_last_call(monkeypatch, "conjugate_mobius", 0, None)
+    field_of_moduli(d)
+    closed = len(probe)
+    assert closed >= 1
+    shift = Mobius.from_rationals(d.tower, 1, 1, 0, 1)
+    spoil_last_call(monkeypatch, "conjugate_mobius", closed,
+                    shift.compose)
+    with pytest.raises(InternalInconsistency,
+                       match="witness does not carry sigma"):
+        field_of_moduli(d)
+
+
+@pytest.mark.parametrize("make", [biquadratic_five_points,
+                                  counterexample_eight])
+def test_spoiled_twisted_witness_detected(monkeypatch, make):
+    # s(kappa) enters the twisted witness of every element s of H2; a
+    # spoiled one at the last element must fail the three-point check on
+    # kappa(D)
+    d = make()
+    data = field_of_moduli(d)
+    h2 = compression(d, data).h2_group
+    shift = Mobius.from_rationals(h2.tower, 1, 1, 0, 1)
+    calls = spoil_last_call(monkeypatch, "conjugate_mobius", h2.order,
+                            shift.compose)
+    with pytest.raises(InternalInconsistency,
+                       match="twisted witness fails on moved divisor"):
+        compression(d, data)
+    assert len(calls) == h2.order
+
+
 # ---------------------------------------------------------------------------
 # descent cocycle
 # ---------------------------------------------------------------------------
@@ -152,6 +205,21 @@ def test_cocycle_values_stabilize_divisor():
         assert d.apply(v) == d
 
 
+def imaged_perm(d, sigma, m):
+    """The permutation of D found by imaging every point: m(sigma(p_k))
+    is p_perm[k], with None where the image leaves D."""
+    where = {p: k for k, p in enumerate(d.points)}.get
+    return tuple(where(m(ProjPoint(sigma(p.x), sigma(p.y))))
+                 for p in d.points)
+
+
+def swap_witness(data, i, m):
+    """Replace the witness at i by m, with the permutation of D that m
+    induces, as imaging D finds it."""
+    data.cochain[i] = m
+    data.perms[i] = imaged_perm(data.divisor, data.group.elements[i], m)
+
+
 def test_cocycle_identity_agrees_with_mobius_form():
     # the values computed on permutations of D are the maps
     # phi_i o sigma_i(phi_j) o phi_ij^-1 composed as matrices, and the
@@ -165,7 +233,7 @@ def test_cocycle_identity_agrees_with_mobius_form():
         data = field_of_moduli(d)
         group, h, phi = data.group, data.h_indices, data.cochain
         for a in data.aut.elements:
-            phi[0] = a
+            swap_witness(data, 0, a)
             c = descent_cocycle(data).values
             for i in h:
                 si = group.elements[i]
@@ -186,7 +254,7 @@ def test_cocycle_identity_agrees_with_mobius_form():
     pentagon = field_of_moduli(q_i_pentagon())
     assert pentagon.aut.order == 4
     g = pentagon.aut.elements[pentagon.aut.orders.index(4)]
-    pentagon.cochain[0] = g
+    swap_witness(pentagon, 0, g)
     c = descent_cocycle(pentagon).values
     assert {c[(0, 0)], c[(1, 0)]} == {g, g.inverse()}
 
@@ -197,7 +265,8 @@ def test_cochain_value_outside_aut_detected():
     shift = Mobius.from_rationals(d.tower, 1, 1, 0, 1)  # z -> z + 1
     assert shift not in data.aut
     i = data.h_indices[1]
-    data.cochain[i] = shift.compose(data.cochain[i])
+    swap_witness(data, i, shift.compose(data.cochain[i]))
+    assert None in data.perms[i]
     with pytest.raises(InternalInconsistency, match="moves the divisor"):
         descent_cocycle(data)
 
@@ -287,26 +356,34 @@ def test_compression_cocycle_checks_reach_non_generators(
     # z -> 2z - 5^m fixes the point where psi is checked against the
     # witness it descends, and moves every other point
     shift = Mobius.from_rationals(clean.tower2, 2, -5 ** clean.m, 0, 1)
-    name, spoiler, message = {
-        "psi": ("mobius_from_triples", lambda psi: psi.compose(shift),
+    # psi_k = T_k o S^-1, with S the map from 0, 1, oo to the images of
+    # the sections (built once, before the loop) and T_k the one to the
+    # images of their twisted images; T_k o S^-1 o shift o S spoils
+    # psi_k to psi_k o shift
+    name, before, spoiler, message = {
+        "psi": ("mobius_to_triple", 1,
+                lambda t, s: t.compose(s.inverse()).compose(shift)
+                .compose(s),
                 "1-cocycle identity fails for psi"),
-        "rho": ("_sym2_over_det", lambda rho: [[2 * x for x in row]
-                                               for row in rho],
+        "rho": ("_sym2_over_det", 0,
+                lambda rho, _: [[2 * x for x in row] for row in rho],
                 "matrix cocycle has scalar slack"),
     }[spoil]
     real = getattr(moduli, name)
     calls = []
 
-    def spoiled(arg, *rest):
-        # called once per element of H2, in index order
-        calls.append(arg)
-        out = real(arg, *rest)
-        return spoiler(out) if len(calls) == h2.order else out
+    def spoiled(*args):
+        # called once per element of H2, in index order, after the
+        # calls made before the loop
+        out = real(*args)
+        calls.append(out)
+        last = len(calls) == before + h2.order
+        return spoiler(out, calls[0]) if last else out
 
     monkeypatch.setattr(moduli, name, spoiled)
     with pytest.raises(InternalInconsistency, match=message):
         compression(d, data)
-    assert len(calls) == h2.order
+    assert len(calls) == before + h2.order
 
 
 def test_compression_rejects_noncyclic():
@@ -416,8 +493,9 @@ def two_five_tower_data():
     fom = fixed_subtower(group, h)
     ident = Mobius.identity(t2)
     cochain = {i: ident for i in h}
+    perms = {i: (0, 1, 2) for i in h}
     dummy = Divisor([fin(t2, 0), fin(t2, 1), fin(t2, 2)])
-    return t2, group, ModuliData(group, h, cochain, fom, dummy,
+    return t2, group, ModuliData(group, h, cochain, perms, fom, dummy,
                                  compute_aut(dummy))
 
 
@@ -505,8 +583,8 @@ def test_quaternion_rejects_higher_order_values():
     group = galois_group(QQ)
     fom = fixed_subtower(group, (0,))
     dummy = Divisor([fin(QQ, 0), fin(QQ, 1), fin(QQ, 2)])
-    data = ModuliData(group, (0,), {0: Mobius.identity(QQ)}, fom, dummy,
-                      compute_aut(dummy))
+    data = ModuliData(group, (0,), {0: Mobius.identity(QQ)}, {0: (0, 1, 2)},
+                      fom, dummy, compute_aut(dummy))
     spin = Mobius.from_rationals(QQ, 1, -1, 1, 1)  # order 4
     coc = Cocycle({(0, 0): spin})
     with pytest.raises(UnsupportedAut):
