@@ -256,20 +256,9 @@ def hasse_solvable(f: TernaryForm) -> tuple[bool, list[PlaceEval]]:
 
 def _sqrt_mod_squarefree(a: int, m: int) -> Optional[int]:
     """A square root of a modulo squarefree m >= 1."""
-    if m == 1:
-        return 0
-    residues, moduli = [], []
-    for p in factorint(m):
-        if p == 2:
-            residues.append(a % 2)
-            moduli.append(2)
-            continue
-        r = sqrt_mod_prime(a % p, p)
-        if r is None:
-            return None
-        residues.append(r)
-        moduli.append(p)
-    return crt(residues, moduli)
+    moduli = list(factorint(m))
+    residues = [sqrt_mod_prime(a, p) for p in moduli]
+    return None if None in residues else crt(residues, moduli)
 
 
 def _solve_legendre(a: int, b: int, depth: int = 0

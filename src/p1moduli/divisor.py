@@ -8,15 +8,16 @@ cross-ratios with the other points all lie in a target signature
 (``_matches``). Matching the base triple's own signature gives Aut(P1,
 D); the first match of another divisor's signature is an equivalence
 witness. Each match also yields the map's permutation of the points,
-read off the matching cross-ratios. The first cross-ratio of each
-triple is kept by scan index, so every later scan of the same divisor
-tests most triples by one set lookup. The groups are the classical
-finite Mobius groups, classified by element-order statistics.
+read off the matching cross-ratios. Reduction mod a split prime p of the
+tower is a ring homomorphism, so a triple whose first cross-ratio mod p
+is not in the signature mod p cannot match: only the others are checked
+exactly, and a collision costs one exact cross-ratio. The groups are the
+classical finite Mobius groups, classified by element-order statistics.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, permutations
+from itertools import count, permutations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -249,36 +250,52 @@ def _signature(br, inv, t) -> dict:
     return dict(zip(_cross_ratios(br, inv, t), others))
 
 
-def _matches(src, base, sig, pts, br, inv, first):
+def _fingerprint(br, sig, mods):
+    """(p, h(br), their inverses, h(sig)) at the first split prime p at
+    which every bracket and value of sig is p-integral and no bracket maps
+    to 0. mods[k] keeps the brackets mod the k-th prime (None if one fails)."""
+    for k in count():
+        if k == len(mods):
+            split = br[0][1].tower.split_prime(k)
+            hbr = [[b.residue(split) for b in br[i]] for i in range(len(br))]
+            # no zero or None beyond the diagonal's n zeros
+            bad = sum(not v for row in hbr for v in row) > len(hbr)
+            mods.append(None if bad else (split, hbr, [
+                [v and pow(v, -1, split[0]) for v in row] for row in hbr]))
+        if mods[k]:
+            split, hbr, hinv = mods[k]
+            hits = {v.residue(split) for v in sig}
+            if None not in hits:
+                return split[0], hbr, hinv, hits
+
+
+def _matches(src, base, sig, pts, br, inv, mods):
     """The maps M sending src[i], i in ``base``, to the ordered triples t of
     ``pts`` (with full bracket table br, inv) of signature ``sig`` (src's
     own at base), in scan order, each with perm[i] = the index of M(src[i])
     in pts: cross-ratios are Mobius invariant, so that is the point whose
-    cross-ratio with t is src[i]'s with the base. A candidate triple is
-    dropped at its first miss. The n - 3 cross-ratios of a triple are
-    distinct, so for equal degrees the subset test is equality of
-    signatures.
+    cross-ratio with t is src[i]'s with the base. The n - 3 cross-ratios of
+    a triple are distinct, so for equal degrees the subset test is
+    equality of signatures.
 
-    ``first[s]`` is the first cross-ratio of the triple at scan index s,
-    or None at degree 3, where no other point exists and every triple
-    matches the empty signature. A slot is filled when its triple is
-    first visited; a triple whose slot is filled costs a set lookup, and
-    only a hit computes its other cross-ratios."""
-    hits = sig.keys() | {None}
+    Above degree 3 (at 3 every triple matches) a triple is checked exactly
+    only if h of its first cross-ratio, three products of brackets mod p,
+    lies in h(sig): h is a ring homomorphism, so every match passes, and a
+    collision costs one exact cross-ratio, the candidate's first miss."""
     n = len(pts)
-    for s, t in enumerate(ordered_triples(n)):
-        if s == len(first):
-            rest = _cross_ratios(br, inv, t)
-            first.append(next(rest, None))
-        elif first[s] in hits:
-            rest = islice(_cross_ratios(br, inv, t), 1, None)
-        else:
-            continue
-        if first[s] not in hits:
-            continue
+    if n > 3:
+        p, hbr, hinv, hits = _fingerprint(br, sig, mods)
+    for t in ordered_triples(n):
+        if n > 3:
+            a, b, c = t
+            k = 0
+            while k in t:
+                k += 1
+            if hbr[a][k] * hinv[c][k] * hbr[c][b] * hinv[a][b] % p not in hits:
+                continue
         perm = dict(zip(base, t))
         others = (k for k in range(n) if k not in t)
-        for k, v in zip(others, chain((first[s],), rest)):
+        for k, v in zip(others, _cross_ratios(br, inv, t)):
             if v not in sig:
                 break
             perm[sig[v]] = k
@@ -289,12 +306,12 @@ def _matches(src, base, sig, pts, br, inv, first):
 
 
 class TripleTable:
-    """The bracket table of a divisor, the first cross-ratio of every
-    ordered triple and the stabilizer ``aut``, all from one full scan;
-    each Galois witness search reads the first cross-ratios back instead of
-    recomputing them. Not cached."""
+    """The bracket table of a divisor, the same table mod a split prime
+    (``mods``) and the stabilizer ``aut``, from one full scan; each Galois
+    witness search filters its triples with the kept brackets mod p. Not
+    cached."""
 
-    __slots__ = ("divisor", "br", "inv", "first", "aut")
+    __slots__ = ("divisor", "br", "inv", "mods", "aut")
 
     def __init__(self, d: Divisor):
         if d.degree < 3:
@@ -302,10 +319,10 @@ class TripleTable:
         pts = d.points
         self.divisor = d
         self.br, self.inv = _brackets(pts, range(len(pts)))
-        self.first = []
+        self.mods = []
         sig = _signature(self.br, self.inv, (0, 1, 2))
         self.aut = AutGroup(m for m, _ in _matches(
-            pts, (0, 1, 2), sig, pts, self.br, self.inv, self.first))
+            pts, (0, 1, 2), sig, pts, self.br, self.inv, self.mods))
 
     def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
         """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with
@@ -318,7 +335,7 @@ class TripleTable:
         sig = {sigma(v): k for v, k in
                _signature(self.br, self.inv, base).items()}
         return next(_matches(moved, base, sig, self.divisor.points, self.br,
-                             self.inv, self.first), None)
+                             self.inv, self.mods), None)
 
 
 def compute_aut(d: Divisor) -> AutGroup:

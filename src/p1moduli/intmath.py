@@ -228,20 +228,6 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     """Chinese remainder combination for pairwise coprime moduli."""
     x, m = 0, 1
     for r, n in zip(residues, moduli):
-        g, p, _ = _xgcd(m, n)
-        assert g == 1
-        x = (x + (r - x) * p % n * m) % (m * n)
+        x = (x + (r - x) * pow(m, -1, n) % n * m) % (m * n)
         m *= n
     return x
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t

@@ -52,13 +52,15 @@ from .errors import (
     NotGalois,
     ZeroRadicand,
 )
-from .intmath import fraction_sqrt, squarefree_part
+from .intmath import fraction_sqrt, is_probable_prime, sqrt_mod_prime, \
+    squarefree_part
 
 Coords = tuple[Fraction, ...]
 Scalar = Union["FieldElem", Fraction, int]
 Ints = tuple[tuple[int, ...], int]   # numerators and a positive denominator
 
 _ZERO = Fraction(0)
+_SIEVE = 614889782588491410   # 2 * 3 * 5 * ... * 47
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ class FieldTower:
     """
 
     __slots__ = ("rad_coords", "level", "degree", "_rads", "_hash", "_table",
-                 "_galois", "_is_real")
+                 "_galois", "_is_real", "_split")
 
     def __init__(self, rad_coords: tuple[Coords, ...] = ()):
         self.rad_coords = rad_coords
@@ -233,6 +235,7 @@ class FieldTower:
         self._table = None
         self._galois = None
         self._is_real = None
+        self._split = []
 
     @staticmethod
     def rationals() -> "FieldTower":
@@ -260,6 +263,32 @@ class FieldTower:
                 sub = self.prefix(self.level - 1)._mult()
                 self._table = _extend_table(*sub, self._rads[-1])
         return self._table
+
+    def split_prime(self, k: int = 0) -> tuple[int, list[int]]:
+        """The k-th prime p < 2^31, descending, at which every radicand is a
+        nonzero square and that divides no denominator of the tower, with
+        h(e_mask), h taking each root to a square root of its radicand mod
+        p. Sieve, Euler's criterion on each rational radicand's num * den,
+        primality, then square roots."""
+        p = self._split[-1][0] if self._split else (1 << 31) + 1
+        while len(self._split) <= k:
+            p -= 2
+            if (gcd(p, _SIEVE * self._mult()[1]) > 1
+                    or any(den % p == 0 or not any(nums[1:])
+                           and pow(nums[0] * den, p >> 1, p) != 1
+                           for nums, den in self._rads)
+                    or not is_probable_prime(p)):
+                continue
+            basis = [1]
+            for nums, den in self._rads:
+                r = sqrt_mod_prime(sum(map(mul, nums, basis))
+                                   * pow(den, -1, p), p)
+                if not r:
+                    break
+                basis += [b * r % p for b in basis]
+            else:
+                self._split.append((p, basis))
+        return self._split[k]
 
     # -- element constructors ------------------------------------------------
 
@@ -479,6 +508,13 @@ class FieldElem:
             if first < 0:
                 elem = -elem
         return elem
+
+    def residue(self, split: tuple[int, list[int]]) -> int | None:
+        """h(self) at a split prime (p, h(e_mask)), or None if p | den: a
+        ring homomorphism (the residue map at a prime above p)."""
+        p, basis = split
+        return (sum(map(mul, self.num, basis)) * pow(self.den, -1, p) % p
+                if self.den % p else None)
 
     def __repr__(self) -> str:
         return f"FieldElem({_coords_repr(self.coords)})"

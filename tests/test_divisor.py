@@ -11,6 +11,7 @@ from p1moduli.divisor import (
     Divisor,
     TripleTable,
     _brackets,
+    _fingerprint,
     _matches,
     _signature,
     compute_aut,
@@ -472,10 +473,10 @@ def test_degree_six_c2_table():
 
 def kept_first_witness(table, e):
     """The first map from e onto the table's divisor, found by a scan
-    that reads back the first cross-ratios the Aut scan kept."""
+    that filters its triples with the brackets mod p the Aut scan kept."""
     sig = _signature(*_brackets(e.points, (0, 2)), (0, 1, 2))
     hit = next(_matches(e.points, (0, 1, 2), sig, table.divisor.points,
-                        table.br, table.inv, table.first), None)
+                        table.br, table.inv, table.mods), None)
     return hit and hit[0]
 
 
@@ -555,6 +556,39 @@ def test_permutations_read_from_cross_ratios_match_imaging():
     assert {d.degree for d in cases} >= {3, 4, 5, 6, 8}
     for d in cases:
         assert_perms_match_imaging(d, rng)
+
+
+def test_next_split_prime_when_the_first_fails():
+    p0 = Q.split_prime(0)[0]
+    # -1 is a non-residue mod the first prime of the sequence, so Q(i)
+    # starts further down it
+    gauss = multiquadratic_tower([-1])
+    assert pow(p0 - 1, p0 >> 1, p0) == p0 - 1
+    assert gauss.split_prime(0)[0] < p0
+    rng = random.Random(1616)
+    for tower in (Q, gauss):
+        (p, _), (p1, _) = tower.split_prime(0), tower.split_prime(1)
+        # the bracket [0, p] = -p maps to 0 mod p
+        d = rational_divisor([0, p, 1, -1, F(1, 3), 5], tower=tower)
+        table = TripleTable(d)
+        assert table.mods[0] is None and table.mods[1][0][0] == p1
+        assert table.aut.elements == AutGroup(oracle_aut(d)).elements
+        e = d.apply(random_mobius(rng, tower))
+        assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
+        assert pgl2_equivalent(d, e) == oracle_equivalent(d, e) is not None
+        # a target with p in a denominator: the cross-ratio -1/p of 1 + p
+        # with the base triple (inf, 0, 1) of f, whose map is z -> 1/(1 - z)
+        f = rational_divisor([0, 1, 1 + p, 2, 3], with_inf=True, tower=tower)
+        sig = _signature(*_brackets(f.points, (0, 2)), (0, 1, 2))
+        assert tower.from_rational(F(-1, p)) in sig
+        mods = []
+        assert _fingerprint(table.br, sig, mods)[0] == p1
+        assert mods[0] is None
+        g = rational_divisor([0, 1, 2, 3, 4, 6], tower=tower)
+        br = _brackets(g.points, range(6))[0]
+        mods = []
+        assert _fingerprint(br, sig, mods)[0] == p1 and mods[0] is not None
+        assert pgl2_equivalent(f, g) == oracle_equivalent(f, g)
 
 
 def test_table_requires_three_points():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
+from p1moduli.intmath import is_probable_prime
 from p1moduli.qfield import (
     FieldElem,
     FieldTower,
@@ -664,3 +665,40 @@ def test_multiquadratic_fixed_fields_need_no_elimination(monkeypatch):
     fixed_subtower(_matrix_group(galois_group(multiquadratic_tower([2, 3]))),
                    [1])
     assert "rref" in calls and "compose" in calls
+
+
+# ---------------------------------------------------------
+# split primes and the residue map
+# ---------------------------------------------------------
+
+def _sqrt_two_plus_sqrt_two():
+    sqrt2 = multiquadratic_tower([2])
+    return tower_extend(sqrt2, sqrt2.element([2, 1])).tower
+
+
+SPLIT_TOWERS = [multiquadratic_tower([-1, 2, 3]), _sqrt_two_plus_sqrt_two(),
+                _irrational_tower()]
+
+
+@pytest.mark.parametrize("t", SPLIT_TOWERS,
+                         ids=[repr(t) for t in SPLIT_TOWERS])
+def test_split_prime_residue_is_a_ring_homomorphism(t):
+    rng = random.Random(f"split:{t!r}")
+    for k in (0, 1):
+        split = t.split_prime(k)
+        p, _ = split
+        assert p < 2 ** 31 and is_probable_prime(p)
+        assert t.split_prime(k) is split    # found once, kept
+        for step in range(t.level):
+            # each root maps to a square root of its radicand's image
+            rad = t.embed(t.prefix(step).element(t.rad_coords[step]))
+            h = t.root(step).residue(split)
+            assert h * h % p == rad.residue(split) != 0
+        for _ in range(30):
+            x, y = (random_element(t, rng, height=30) for _ in range(2))
+            hx, hy = x.residue(split), y.residue(split)
+            assert (x * y).residue(split) == hx * hy % p
+            assert (x + y).residue(split) == (hx + hy) % p
+            assert (x - y).residue(split) == (hx - hy) % p
+        assert t.from_rational(F(3, p)).residue(split) is None
+    assert t.split_prime(1)[0] < t.split_prime(0)[0]
