@@ -11,8 +11,10 @@ witness. Each match also yields the map's permutation of the points,
 read off the matching cross-ratios. Reduction mod a split prime p of the
 tower is a ring homomorphism, so a triple whose first cross-ratio mod p
 is not in the signature mod p cannot match: only the others are checked
-exactly, and a collision costs one exact cross-ratio. The groups are the
-classical finite Mobius groups, classified by element-order statistics.
+exactly, and a collision costs one exact cross-ratio. The brackets mod p
+come from the residues of the points; an exact bracket row, or inverse,
+is built when a check first reads it. The groups are the classical
+finite Mobius groups, classified by element-order statistics.
 """
 
 from __future__ import annotations
@@ -220,27 +222,38 @@ def ordered_triples(n: int):
     return permutations(range(n), 3)
 
 
-def _brackets(pts, rows):
-    """Rows i of the brackets [p_i, p_j] and of their inverses, off the
-    diagonal, for each i in rows. The table is antisymmetric, so an entry
-    whose mirror is already built is its negative."""
-    br, inv = {}, {}
-    for i in rows:
-        br[i] = [-br[j][i] if j in br else bracket(pts[i], q)
-                 for j, q in enumerate(pts)]
-        inv[i] = [None if j == i else -inv[j][i] if j in inv else b.inverse()
-                  for j, b in enumerate(br[i])]
+class _Lazy(dict):
+    """A dict that builds a missing entry by make(self, key) on first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(self, key)
+        return value
+
+
+def _brackets(pts):
+    """The brackets [p_i, p_j] as lazy tables: row br[i] and the inverse
+    inv[i, j] are built on first read. The table is antisymmetric, so an
+    entry whose mirror is already built is its negative."""
+    br = _Lazy(lambda br, i: [-br[j][i] if j in br else bracket(pts[i], q)
+                              for j, q in enumerate(pts)])
+    inv = _Lazy(lambda inv, ij: -inv[ij[::-1]] if ij[::-1] in inv
+                else br[ij[0]][ij[1]].inverse())
     return br, inv
 
 
 def _cross_ratios(br, inv, t):
     """N_t(p_k) for every k outside t = (a, b, c), lazily: the map
     p -> [a, p][c, b] / ([a, b][c, p]) sends a, b, c to 0, 1, inf. Only
-    rows a and c of the brackets are read."""
+    rows a and c of the brackets are read, and inv[c, k] one k at a time."""
     a, b, c = t
-    ra, ic = br[a], inv[c]
-    scale = br[c][b] * inv[a][b]
-    return (ra[k] * ic[k] * scale for k in range(len(ra))
+    ra = br[a]
+    scale = br[c][b] * inv[a, b]
+    return (ra[k] * inv[c, k] * scale for k in range(len(ra))
             if k != a and k != b and k != c)
 
 
@@ -250,18 +263,23 @@ def _signature(br, inv, t) -> dict:
     return dict(zip(_cross_ratios(br, inv, t), others))
 
 
-def _fingerprint(br, sig, mods):
-    """(p, h(br), their inverses, h(sig)) at the first split prime p at
-    which every bracket and value of sig is p-integral and no bracket maps
-    to 0. mods[k] keeps the brackets mod the k-th prime (None if one fails)."""
+def _fingerprint(pts, sig, mods):
+    """(p, h of the brackets, their inverses, h(sig)) at the first split
+    prime p at which every point coordinate and value of sig is p-integral
+    and no bracket of two points maps to 0. The brackets mod p come from
+    the residues of the points, so no exact bracket is read. mods[k] keeps
+    them at the k-th prime (None if it fails)."""
     for k in count():
         if k == len(mods):
-            split = br[0][1].tower.split_prime(k)
-            hbr = [[b.residue(split) for b in br[i]] for i in range(len(br))]
-            # no zero or None beyond the diagonal's n zeros
-            bad = sum(not v for row in hbr for v in row) > len(hbr)
+            split = pts[0].tower.split_prime(k)
+            p = split[0]
+            hpts = [(q.x.residue(split), q.y.residue(split)) for q in pts]
+            hbr = None if any(None in h for h in hpts) else [
+                [(x * w - u * y) % p for u, w in hpts] for x, y in hpts]
+            # no zero beyond the diagonal's n zeros
+            bad = hbr is None or sum(not v for r in hbr for v in r) > len(pts)
             mods.append(None if bad else (split, hbr, [
-                [v and pow(v, -1, split[0]) for v in row] for row in hbr]))
+                [v and pow(v, -1, p) for v in row] for row in hbr]))
         if mods[k]:
             split, hbr, hinv = mods[k]
             hits = {v.residue(split) for v in sig}
@@ -271,7 +289,7 @@ def _fingerprint(br, sig, mods):
 
 def _matches(src, base, sig, pts, br, inv, mods):
     """The maps M sending src[i], i in ``base``, to the ordered triples t of
-    ``pts`` (with full bracket table br, inv) of signature ``sig`` (src's
+    ``pts`` (with lazy bracket tables br, inv) of signature ``sig`` (src's
     own at base), in scan order, each with perm[i] = the index of M(src[i])
     in pts: cross-ratios are Mobius invariant, so that is the point whose
     cross-ratio with t is src[i]'s with the base. The n - 3 cross-ratios of
@@ -284,7 +302,7 @@ def _matches(src, base, sig, pts, br, inv, mods):
     collision costs one exact cross-ratio, the candidate's first miss."""
     n = len(pts)
     if n > 3:
-        p, hbr, hinv, hits = _fingerprint(br, sig, mods)
+        p, hbr, hinv, hits = _fingerprint(pts, sig, mods)
     for t in ordered_triples(n):
         if n > 3:
             a, b, c = t
@@ -306,10 +324,10 @@ def _matches(src, base, sig, pts, br, inv, mods):
 
 
 class TripleTable:
-    """The bracket table of a divisor, the same table mod a split prime
-    (``mods``) and the stabilizer ``aut``, from one full scan; each Galois
-    witness search filters its triples with the kept brackets mod p. Not
-    cached."""
+    """The lazy bracket tables of a divisor, its brackets mod a split
+    prime (``mods``) and the stabilizer ``aut``, from one full scan; each
+    Galois witness search filters its triples with the kept brackets mod
+    p and shares the exact rows and inverses built so far. Not cached."""
 
     __slots__ = ("divisor", "br", "inv", "mods", "aut")
 
@@ -318,7 +336,7 @@ class TripleTable:
             raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
         pts = d.points
         self.divisor = d
-        self.br, self.inv = _brackets(pts, range(len(pts)))
+        self.br, self.inv = _brackets(pts)
         self.mods = []
         sig = _signature(self.br, self.inv, (0, 1, 2))
         self.aut = AutGroup(m for m, _ in _matches(
@@ -372,8 +390,8 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
         return None
     if d1.degree < 3:
         return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
-    br, inv = _brackets(d2.points, range(d2.degree))
-    sig = _signature(*_brackets(d1.points, (0, 2)), (0, 1, 2))
+    br, inv = _brackets(d2.points)
+    sig = _signature(*_brackets(d1.points), (0, 1, 2))
     hit = next(_matches(d1.points, (0, 1, 2), sig, d2.points, br, inv, []),
                None)
     return hit[0] if hit else None

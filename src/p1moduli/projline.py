@@ -201,23 +201,30 @@ def bracket(p: ProjPoint, q: ProjPoint) -> FieldElem:
     return p.x * q.y - q.x * p.y
 
 
-def mobius_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
-    """The Mobius taking (0, 1, inf) to (p1, p2, p3)."""
+def _triple_matrix(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint):
+    """The entries (a, b, c, d) of a matrix taking (0, 1, inf) to (p1, p2,
+    p3), not normalized; DegenerateTriple if two of the points coincide."""
     # columns: (b,d) ~ p1, (a,c) ~ p3, scaled so they sum to [p3, p1] p2;
     # the determinant [p2, p1][p3, p2][p3, p1] vanishes exactly when two
     # of the points coincide
     nu, mu = bracket(p2, p1), bracket(p3, p2)
-    try:
-        return Mobius(nu * p3.x, mu * p1.x, nu * p3.y, mu * p1.y)
-    except SingularMatrix:
-        raise DegenerateTriple("points of the triple coincide") from None
+    if not (nu and mu and bracket(p3, p1)):
+        raise DegenerateTriple("points of the triple coincide")
+    return nu * p3.x, mu * p1.x, nu * p3.y, mu * p1.y
+
+
+def mobius_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
+    """The Mobius taking (0, 1, inf) to (p1, p2, p3)."""
+    return Mobius(*_triple_matrix(p1, p2, p3))
 
 
 def mobius_from_triples(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
                         q1: ProjPoint, q2: ProjPoint, q3: ProjPoint) -> Mobius:
-    """The unique Mobius transformation sending p_i to q_i."""
-    return mobius_to_triple(q1, q2, q3).compose(
-        mobius_to_triple(p1, p2, p3).inverse())
+    """The unique Mobius transformation sending p_i to q_i: the matrix of
+    q times the adjugate of p's (its inverse up to scale), normalized once."""
+    a, b, c, d = _triple_matrix(p1, p2, p3)
+    e, f, g, h = _triple_matrix(q1, q2, q3)
+    return Mobius(e * d - f * c, f * a - e * b, g * d - h * c, h * a - g * b)
 
 
 def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,

@@ -19,7 +19,8 @@ from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
 from p1moduli.errors import InternalInconsistency, UnsupportedAut
 from p1moduli.moduli import compression, field_of_moduli
 from p1moduli.projline import Mobius, ProjPoint
-from p1moduli.qfield import FieldTower, galois_group, multiquadratic_tower
+from p1moduli.qfield import FieldElem, FieldTower, galois_group, \
+    multiquadratic_tower
 
 QQ = FieldTower()
 
@@ -506,6 +507,26 @@ def test_decide_images_no_divisor_again(monkeypatch):
     v = decide(obstructed_eight())
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
     assert 0 < len(counted) <= 144
+
+
+def test_decide_inverts_and_reduces_on_demand(monkeypatch):
+    # bracket inverses are built when a cross-ratio first reads them, and
+    # the fingerprints reduce the 2n point coordinates mod p instead of
+    # every bracket: 275 inversions and 36 residues here, 295 and 84 when
+    # the whole bracket table was inverted and reduced up front
+    calls = {"inverse": 0, "residue": 0}
+    for name in calls:
+        method = getattr(FieldElem, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldElem, name, counting)
+    v = decide(obstructed_eight())
+    assert v.outcome == NOT_DEFINED and v.certificate.symbols
+    assert 0 < calls["inverse"] <= 280
+    assert 0 < calls["residue"] <= 40
 
 
 def test_fake_failing_place_detected():

@@ -1,5 +1,6 @@
 # tests/test_divisor.py
 import functools
+import importlib
 import random
 from fractions import Fraction
 
@@ -474,7 +475,7 @@ def test_degree_six_c2_table():
 def kept_first_witness(table, e):
     """The first map from e onto the table's divisor, found by a scan
     that filters its triples with the brackets mod p the Aut scan kept."""
-    sig = _signature(*_brackets(e.points, (0, 2)), (0, 1, 2))
+    sig = _signature(*_brackets(e.points), (0, 1, 2))
     hit = next(_matches(e.points, (0, 1, 2), sig, table.divisor.points,
                         table.br, table.inv, table.mods), None)
     return hit and hit[0]
@@ -542,7 +543,7 @@ def assert_perms_match_imaging(d, rng):
             assert hit[1] == imaged_perm(conj, hit[0], pts)
     # pgl2_equivalent: every map from a planted image e back onto D
     e = d.apply(random_mobius(rng, d.tower))
-    sig = _signature(*_brackets(e.points, (0, 2)), base)
+    sig = _signature(*_brackets(e.points), base)
     hits = list(_matches(e.points, base, sig, pts, table.br, table.inv, []))
     assert len(hits) == table.aut.order
     assert hits[0][0] == pgl2_equivalent(e, d)
@@ -579,16 +580,44 @@ def test_next_split_prime_when_the_first_fails():
         # a target with p in a denominator: the cross-ratio -1/p of 1 + p
         # with the base triple (inf, 0, 1) of f, whose map is z -> 1/(1 - z)
         f = rational_divisor([0, 1, 1 + p, 2, 3], with_inf=True, tower=tower)
-        sig = _signature(*_brackets(f.points, (0, 2)), (0, 1, 2))
+        sig = _signature(*_brackets(f.points), (0, 1, 2))
         assert tower.from_rational(F(-1, p)) in sig
         mods = []
-        assert _fingerprint(table.br, sig, mods)[0] == p1
+        assert _fingerprint(d.points, sig, mods)[0] == p1
         assert mods[0] is None
         g = rational_divisor([0, 1, 2, 3, 4, 6], tower=tower)
-        br = _brackets(g.points, range(6))[0]
         mods = []
-        assert _fingerprint(br, sig, mods)[0] == p1 and mods[0] is not None
+        assert _fingerprint(g.points, sig, mods)[0] == p1 \
+            and mods[0] is not None
         assert pgl2_equivalent(f, g) == oracle_equivalent(f, g)
+
+
+def test_a_miss_reads_no_bracket_of_the_target(monkeypatch):
+    # the fingerprints come from the residues of the points, so a scan in
+    # which no triple survives the filter computes no exact bracket of
+    # the divisor it scans: only rows 0 and 2 of d, for its signature
+    divisor_mod = importlib.import_module("p1moduli.divisor")
+    rng = random.Random(1717)
+    t = multiquadratic_tower([-1, 2])
+    d, other = (random_tower_divisor(rng, t, 8) for _ in range(2))
+    assert oracle_equivalent(d, other) is None
+    seen, survivors = [], []
+    bracket, cross_ratios = divisor_mod.bracket, divisor_mod._cross_ratios
+
+    def recorded(p, q):
+        seen.append((p, q))
+        return bracket(p, q)
+
+    def counted(br, inv, t):
+        survivors.append(t)
+        return cross_ratios(br, inv, t)
+
+    monkeypatch.setattr(divisor_mod, "bracket", recorded)
+    monkeypatch.setattr(divisor_mod, "_cross_ratios", counted)
+    assert pgl2_equivalent(d, other) is None
+    assert survivors == [(0, 1, 2)]    # d's signature, no survivor
+    own = {id(p) for p in other.points}
+    assert seen and not any(id(p) in own or id(q) in own for p, q in seen)
 
 
 def test_table_requires_three_points():

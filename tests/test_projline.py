@@ -11,6 +11,7 @@ from p1moduli.projline import (
     cross_ratio,
     mobius_from_triples,
     mobius_order_and_fixed,
+    mobius_to_triple,
     one_point,
     supported_orders,
     zero_point,
@@ -154,6 +155,56 @@ def test_from_triples_rejects_repeats():
         mobius_from_triples(pt(0), pt(0), INF, pt(0), pt(1), INF)
     with pytest.raises(DegenerateTriple):
         mobius_from_triples(pt(0), pt(1), INF, pt(2), INF, INF)
+
+
+def distinct_tower_points(rng, tower, k):
+    pts = []
+    while len(pts) < k:
+        cand = ProjPoint.finite(tower.element(
+            [F(rng.randint(-8, 8), rng.randint(1, 3))
+             for _ in range(tower.degree)]))
+        if cand not in pts:
+            pts.append(cand)
+    return pts
+
+
+def test_from_triples_equals_the_composition():
+    rng = random.Random(1717)
+    for t in (Q, multiquadratic_tower([3]), multiquadratic_tower([-1, 2, 3])):
+        for _ in range(10):
+            p, q = (distinct_tower_points(rng, t, 3) for _ in range(2))
+            if rng.random() < 0.3:
+                p[rng.randrange(3)] = ProjPoint.infinity(t)
+            old = mobius_to_triple(*q).compose(mobius_to_triple(*p).inverse())
+            assert mobius_from_triples(*p, *q) == old
+
+
+def test_from_triples_builds_one_map(monkeypatch):
+    built = []
+    init = Mobius.__init__
+
+    def counted(self, *entries):
+        built.append(entries)
+        init(self, *entries)
+
+    monkeypatch.setattr(Mobius, "__init__", counted)
+    rng = random.Random(17)
+    t = multiquadratic_tower([-1, 2])
+    for _ in range(5):
+        built.clear()
+        mobius_from_triples(*distinct_tower_points(rng, t, 6))
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("repeat", [(0, 1), (0, 2), (1, 2)])
+def test_degenerate_triple_in_either_position_raises(monkeypatch, repeat):
+    good = [pt(0), pt(1), INF]
+    bad = list(good)
+    bad[repeat[1]] = bad[repeat[0]]
+    monkeypatch.setattr(Mobius, "__init__", None)  # no map may be built
+    for args in (bad + good, good + bad):
+        with pytest.raises(DegenerateTriple):
+            mobius_from_triples(*args)
 
 
 # ---------------------------------------------------------
