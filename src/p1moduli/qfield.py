@@ -61,8 +61,6 @@ Ints = tuple[tuple[int, ...], int]   # numerators and a positive denominator
 
 _ZERO = Fraction(0)
 _SIEVE = 614889782588491410   # 2 * 3 * 5 * ... * 47
-_TOWER_LIMIT = 256
-_TOWERS: dict = {}   # radicands (as Ints) -> the live FieldTower
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +221,21 @@ class FieldTower:
     ``rad_coords[i]`` is the coordinate vector (length 2^i) of the step-i
     radicand over the level-i subtower. Rational radicands are normalized
     to squarefree integers; genuinely irrational ones are kept as given.
-
-    Towers are interned: constructing one returns the live tower with the
-    same radicands, so its structure constants, split primes, Galois group
-    and real flag are computed once per process. The table holds at most
-    ``_TOWER_LIMIT`` towers and evicts the oldest; that is safe because
-    towers compare and hash by their radicands, so elements of an evicted
-    tower still combine with those of its rebuilt equal.
     """
 
     __slots__ = ("rad_coords", "level", "degree", "_rads", "_hash", "_table",
                  "_galois", "_is_real", "_split")
 
-    def __new__(cls, rad_coords: tuple[Coords, ...] = ()):
-        rads = tuple(_ints(c) for c in rad_coords)
-        self = _TOWERS.get(rads)
-        if self is None:
-            if len(_TOWERS) >= _TOWER_LIMIT:
-                del _TOWERS[next(iter(_TOWERS))]
-            self = _TOWERS[rads] = super().__new__(cls)
-            self.rad_coords = rad_coords
-            self.level = len(rad_coords)
-            self.degree = 1 << self.level
-            self._rads = rads
-            self._hash = hash(rads)
-            self._table = None
-            self._galois = None
-            self._is_real = None
-            self._split = []
-        return self
+    def __init__(self, rad_coords: tuple[Coords, ...] = ()):
+        self.rad_coords = rad_coords
+        self.level = len(rad_coords)
+        self.degree = 1 << self.level
+        self._rads = tuple(_ints(c) for c in rad_coords)
+        self._hash = hash(self._rads)
+        self._table = None
+        self._galois = None
+        self._is_real = None
+        self._split = []
 
     @staticmethod
     def rationals() -> "FieldTower":
@@ -334,8 +318,7 @@ class FieldTower:
 
     def prefix(self, level: int) -> "FieldTower":
         sub = FieldTower(self.rad_coords[:level])
-        if sub._table is None:
-            sub._table = self._table   # its top-left block serves the prefix
+        sub._table = self._table   # its top-left block serves the prefix
         return sub
 
     def embed(self, x: "FieldElem") -> "FieldElem":

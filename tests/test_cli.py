@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from p1moduli import cli, conic, intmath, projline, qfield
+from p1moduli import cli, conic, intmath, projline
 from p1moduli.cli import (divisor_json, mobius_json, parse_divisor,
                           parse_tower, run, tower_json)
 from p1moduli.divisor import Divisor
@@ -167,26 +167,6 @@ def test_equivalence_twisted_pair(tmp_path, capsys):
     entries = [F(c[0]) for row in rep["witness"] for c in row]
     w = Mobius.from_rationals(QQ, *entries)
     assert d1.apply(w) == d2
-
-
-def test_second_request_over_a_tower_searches_no_prime(tmp_path, capsys,
-                                                       monkeypatch):
-    # towers are interned, so the split prime found by the first request
-    # serves the second
-    t = multiquadratic_tower([5, -7])
-    d1 = Divisor([fin(t, t.root(0) * v + w) for v, w in
-                  ((1, 0), (2, 1), (-1, 3), (3, -2), (F(1, 2), 5))])
-    m = Mobius(t.root(1), t.one(), t.from_rational(2), t.root(0))
-    payload = {"first": divisor_json(d1), "second": divisor_json(d1.apply(m))}
-    assert invoke(tmp_path, capsys, "equivalence", payload)[0] == 0
-    assert t._split
-    tested = []
-    is_prime = qfield.is_probable_prime
-    monkeypatch.setattr(qfield, "is_probable_prime",
-                        lambda n: tested.append(n) or is_prime(n))
-    code, rep = invoke(tmp_path, capsys, "equivalence", payload)
-    assert code == 0 and rep["equivalent"] is True
-    assert tested == []
 
 
 def test_equivalence_self(tmp_path, capsys):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from p1moduli import qfield
 from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
 from p1moduli.intmath import is_probable_prime
 from p1moduli.qfield import (
@@ -703,35 +702,3 @@ def test_split_prime_residue_is_a_ring_homomorphism(t):
             assert (x - y).residue(split) == (hx - hy) % p
         assert t.from_rational(F(3, p)).residue(split) is None
     assert t.split_prime(1)[0] < t.split_prime(0)[0]
-
-
-# ---------------------------------------------------------------------------
-# interning
-# ---------------------------------------------------------------------------
-
-def test_equal_towers_are_one_object():
-    assert multiquadratic_tower([2, 3]) is multiquadratic_tower([2, 3])
-    assert multiquadratic_tower([2, 3]).prefix(1) is multiquadratic_tower([2])
-    assert FieldTower() is FieldTower.rationals()
-
-
-def test_tower_table_is_bounded_and_eviction_is_safe():
-    t = multiquadratic_tower([-1, 1723])
-    x = t.element([1, 1, 0, 0])   # 1 + i
-    for k in range(300):
-        FieldTower(((F(10 ** 6 + k),),))
-    assert len(qfield._TOWERS) <= 256
-    rebuilt = multiquadratic_tower([-1, 1723])
-    assert rebuilt is not t and rebuilt == t
-    y = rebuilt.element([F(1, 2), 0, 1, 0])   # 1/2 + sqrt(1723)
-    assert x + y == y + x == rebuilt.element([F(3, 2), 1, 1, 0])
-    assert x * y == y * x == rebuilt.element([F(1, 2), F(1, 2), 1, 1])
-    assert x * x.inverse() == rebuilt.one()
-
-
-def test_prefix_keeps_an_interned_towers_own_table():
-    small = multiquadratic_tower([19])
-    own = small._mult()
-    big = multiquadratic_tower([19, 23])
-    assert big._mult() is not own
-    assert big.prefix(1) is small and small._table is own
