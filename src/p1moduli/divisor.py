@@ -4,17 +4,16 @@ stabilizers.
 A divisor is a finite set of distinct points over one tower. A Mobius
 map is pinned down by where it sends three points, so every search here
 is one scan of the ordered triples t of a divisor for those whose
-cross-ratios with the other points all lie in a target signature
-(``_matches``). Matching the base triple's own signature gives Aut(P1,
-D); the first match of another divisor's signature is an equivalence
-witness. Each match also yields the map's permutation of the points,
-read off the matching cross-ratios. Reduction mod a split prime p of the
-tower is a ring homomorphism, so a triple whose first cross-ratio mod p
-is not in the signature mod p cannot match: only the others are checked
-exactly, and a collision costs one exact cross-ratio. The brackets mod p
-come from the residues of the points; an exact bracket row, or inverse,
-is built when a check first reads it. The groups are the classical
-finite Mobius groups, classified by element-order statistics.
+cross-ratios with the other points are a source divisor's with its base
+triple (``_matches``). Matching D's own cross-ratios gives Aut(P1, D);
+the first match of another divisor's is an equivalence witness. Each
+match also yields the map's permutation of the points, read off the
+matching cross-ratios. The scan runs mod a split prime p of the tower,
+on brackets formed from the residues of the points: reduction mod p is a
+ring homomorphism, so no match is lost, and exact arithmetic only
+certifies a triple whose every cross-ratio matches mod p, by imaging the
+source under the map the caller needs anyway. The groups are the
+classical finite Mobius groups, classified by element-order statistics.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .errors import (
     InternalInconsistency,
     UnrecognizedGroup,
 )
-from .projline import Mobius, ProjPoint, bracket, mobius_from_triples, \
-    one_point, zero_point
+from .projline import Mobius, ProjPoint, mobius_from_triples, one_point, \
+    zero_point
 from .qfield import GaloisAut
 
 
@@ -222,138 +221,121 @@ def ordered_triples(n: int):
     return permutations(range(n), 3)
 
 
-class _Lazy(dict):
-    """A dict that builds a missing entry by make(self, key) on first read."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(self, key)
-        return value
-
-
-def _brackets(pts):
-    """The brackets [p_i, p_j] as lazy tables: row br[i] and the inverse
-    inv[i, j] are built on first read. The table is antisymmetric, so an
-    entry whose mirror is already built is its negative."""
-    br = _Lazy(lambda br, i: [-br[j][i] if j in br else bracket(pts[i], q)
-                              for j, q in enumerate(pts)])
-    inv = _Lazy(lambda inv, ij: -inv[ij[::-1]] if ij[::-1] in inv
-                else br[ij[0]][ij[1]].inverse())
-    return br, inv
+def _reduce(pts, split):
+    """(split, the brackets [p_i, p_j] mod p as int rows, their inverses)
+    at a split prime (p, h(e_mask)), from the residues of the x coordinates
+    alone (points are normalised to y = 1 or (1 : 0)); None if some x is
+    not p-integral or two of the points meet mod p."""
+    p = split[0]
+    hpts = [(q.x.residue(split), 0 if q.is_infinity() else 1) for q in pts]
+    if any(x is None for x, _ in hpts):
+        return None
+    hbr = [[(x * w - u * y) % p for u, w in hpts] for x, y in hpts]
+    # no zero beyond the diagonal's n zeros
+    if sum(not v for r in hbr for v in r) > len(pts):
+        return None
+    return split, hbr, [[v and pow(v, -1, p) for v in row] for row in hbr]
 
 
-def _cross_ratios(br, inv, t):
-    """N_t(p_k) for every k outside t = (a, b, c), lazily: the map
-    p -> [a, p][c, b] / ([a, b][c, p]) sends a, b, c to 0, 1, inf. Only
-    rows a and c of the brackets are read, and inv[c, k] one k at a time."""
-    a, b, c = t
-    ra = br[a]
-    scale = br[c][b] * inv[a, b]
-    return (ra[k] * inv[c, k] * scale for k in range(len(ra))
-            if k != a and k != b and k != c)
+def _reduced(pts, mods, k):
+    """mods[k]: the points reduced at the k-th split prime of their
+    tower, built on first use (None where that prime fails)."""
+    while len(mods) <= k:
+        mods.append(_reduce(pts, pts[0].tower.split_prime(len(mods))))
+    return mods[k]
 
 
-def _signature(br, inv, t) -> dict:
-    """The cross-ratio of each point outside t with t, to its index."""
-    others = (k for k in range(len(br[t[0]])) if k not in t)
-    return dict(zip(_cross_ratios(br, inv, t), others))
+def _sends(m, p, q) -> bool:
+    """m(p) = q, read as the bracket of q with the unnormalised image of p
+    vanishing: no inverse and no new point."""
+    return not ((m.a * p.x + m.b * p.y) * q.y - q.x * (m.c * p.x + m.d * p.y))
 
 
-def _fingerprint(pts, sig, mods):
-    """(p, h of the brackets, their inverses, h(sig)) at the first split
-    prime p at which every point coordinate and value of sig is p-integral
-    and no bracket of two points maps to 0. The brackets mod p come from
-    the residues of the points, so no exact bracket is read. mods[k] keeps
-    them at the k-th prime (None if it fails)."""
-    for k in count():
-        if k == len(mods):
-            split = pts[0].tower.split_prime(k)
-            p = split[0]
-            hpts = [(q.x.residue(split), q.y.residue(split)) for q in pts]
-            hbr = None if any(None in h for h in hpts) else [
-                [(x * w - u * y) % p for u, w in hpts] for x, y in hpts]
-            # no zero beyond the diagonal's n zeros
-            bad = hbr is None or sum(not v for r in hbr for v in r) > len(pts)
-            mods.append(None if bad else (split, hbr, [
-                [v and pow(v, -1, p) for v in row] for row in hbr]))
-        if mods[k]:
-            split, hbr, hinv = mods[k]
-            hits = {v.residue(split) for v in sig}
-            if None not in hits:
-                return split[0], hbr, hinv, hits
-
-
-def _matches(src, base, sig, pts, br, inv, mods):
+def _matches(src, base, pts, src_mods, mods):
     """The maps M sending src[i], i in ``base``, to the ordered triples t of
-    ``pts`` (with lazy bracket tables br, inv) of signature ``sig`` (src's
-    own at base), in scan order, each with perm[i] = the index of M(src[i])
-    in pts: cross-ratios are Mobius invariant, so that is the point whose
-    cross-ratio with t is src[i]'s with the base. The n - 3 cross-ratios of
-    a triple are distinct, so for equal degrees the subset test is
-    equality of signatures.
+    ``pts`` (of src's degree) with M(src) = pts, in scan order, each with
+    perm[i] = the index of M(src[i]) in pts. ``src_mods`` and ``mods``
+    keep the points of each side reduced mod the split primes tried; pass
+    one list for both when src is pts.
 
-    Above degree 3 (at 3 every triple matches) a triple is checked exactly
-    only if h of its first cross-ratio, three products of brackets mod p,
-    lies in h(sig): h is a ring homomorphism, so every match passes, and a
-    collision costs one exact cross-ratio, the candidate's first miss."""
+    Every triple is decided mod p, at the first split prime at which both
+    sides reduce. Cross-ratios are Mobius invariant, so M(src[i]) is the
+    point whose cross-ratio with t is src[i]'s with the base, and reduction
+    mod p is a ring homomorphism: a match maps every cross-ratio of t mod p
+    into the target, src's n - 3 cross-ratios mod p, each to the index of
+    its preimage. The points of each side stay distinct mod p, so these
+    values are distinct too, and a full mod-p match reads off perm. The
+    cheap test reads only the first cross-ratio (three products mod p);
+    the full test is needed because the cross-ratio is invariant under the
+    Klein four-group of double transpositions of its points, so around
+    every match three more triples per point pass the first test. Exact
+    arithmetic only certifies a full mod-p match, by imaging: the map M is
+    built (the caller needs it anyway) and each src[i] outside the base
+    must land on pts[perm[i]]. At degree 3 every triple matches and
+    nothing is reduced."""
     n = len(pts)
     if n > 3:
-        p, hbr, hinv, hits = _fingerprint(pts, sig, mods)
+        k = next(k for k in count() if _reduced(src, src_mods, k)
+                 and _reduced(pts, mods, k))
+        (p, _), sbr, sinv = src_mods[k]
+        _, hbr, hinv = mods[k]
+        a, b, c = base
+        scale = sbr[c][b] * sinv[a][b]
+        target = {sbr[a][i] * sinv[c][i] * scale % p: i
+                  for i in range(n) if i not in base}
     for t in ordered_triples(n):
         if n > 3:
             a, b, c = t
             k = 0
             while k in t:
                 k += 1
-            if hbr[a][k] * hinv[c][k] * hbr[c][b] * hinv[a][b] % p not in hits:
+            if hbr[a][k] * hinv[c][k] * hbr[c][b] * hinv[a][b] % p \
+                    not in target:
                 continue
         perm = dict(zip(base, t))
-        others = (k for k in range(n) if k not in t)
-        for k, v in zip(others, _cross_ratios(br, inv, t)):
-            if v not in sig:
-                break
-            perm[sig[v]] = k
-        else:
-            yield (mobius_from_triples(*(src[i] for i in base),
-                                       *(pts[k] for k in t)),
-                   tuple(map(perm.get, range(n))))
+        if n > 3:
+            ra, rc, scale = hbr[a], hinv[c], hbr[c][b] * hinv[a][b]
+            for k in range(n):
+                if k not in t:
+                    i = target.get(ra[k] * rc[k] * scale % p)
+                    if i is None:
+                        break
+                    perm[i] = k
+            if len(perm) < n:
+                continue
+        m = mobius_from_triples(*(src[i] for i in base),
+                                *(pts[k] for k in t))
+        if all(_sends(m, src[i], pts[k]) for i, k in perm.items()
+               if i not in base):
+            yield m, tuple(map(perm.get, range(n)))
 
 
 class TripleTable:
-    """The lazy bracket tables of a divisor, its brackets mod a split
-    prime (``mods``) and the stabilizer ``aut``, from one full scan; each
-    Galois witness search filters its triples with the kept brackets mod
-    p and shares the exact rows and inverses built so far. Not cached."""
+    """The points of a divisor reduced mod its split primes (``mods``) and
+    the stabilizer ``aut``, from one full scan; each Galois witness search
+    reads the kept residues for its target side. Not cached."""
 
-    __slots__ = ("divisor", "br", "inv", "mods", "aut")
+    __slots__ = ("divisor", "mods", "aut")
 
     def __init__(self, d: Divisor):
         if d.degree < 3:
             raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
         pts = d.points
         self.divisor = d
-        self.br, self.inv = _brackets(pts)
         self.mods = []
-        sig = _signature(self.br, self.inv, (0, 1, 2))
         self.aut = AutGroup(m for m, _ in _matches(
-            pts, (0, 1, 2), sig, pts, self.br, self.inv, self.mods))
+            pts, (0, 1, 2), pts, self.mods, self.mods))
 
     def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
         """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with
-        phi(sigma(p_k)) = p_{pi[k]}; or None. Cross-ratios are rational in
-        the points, so sigma(D)'s signature is sigma of D's at the preimages
-        of its first three points: no bracket of sigma(D) is computed."""
+        phi(sigma(p_k)) = p_{pi[k]}; or None. The base is the preimage of
+        sigma(D)'s first three points, so the witness is the one
+        pgl2_equivalent finds."""
         moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in self.divisor]
         base = tuple(sorted(range(len(moved)),
                             key=lambda k: moved[k].sort_key())[:3])
-        sig = {sigma(v): k for v, k in
-               _signature(self.br, self.inv, base).items()}
-        return next(_matches(moved, base, sig, self.divisor.points, self.br,
-                             self.inv, self.mods), None)
+        return next(_matches(moved, base, self.divisor.points, [],
+                             self.mods), None)
 
 
 def compute_aut(d: Divisor) -> AutGroup:
@@ -390,9 +372,6 @@ def pgl2_equivalent(d1: Divisor, d2: Divisor) -> Optional[Mobius]:
         return None
     if d1.degree < 3:
         return mobius_from_triples(*_padded_triple(d1), *_padded_triple(d2))
-    br, inv = _brackets(d2.points)
-    sig = _signature(*_brackets(d1.points), (0, 1, 2))
-    hit = next(_matches(d1.points, (0, 1, 2), sig, d2.points, br, inv, []),
-               None)
+    hit = next(_matches(d1.points, (0, 1, 2), d2.points, [], []), None)
     return hit[0] if hit else None
 

@@ -125,9 +125,10 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     h = tuple(sorted(cochain))
     if group.subgroup_closure(h) != frozenset(h):
         raise InternalInconsistency("H is not closed under composition")
-    # pi is read off exact cross-ratio matches (or composes such), so a
-    # Mobius map sends each sigma(p_k) to p_{pi(k)}; fixed by three points,
-    # it is phi_sigma once phi_sigma agrees with it on p_0, p_1, p_2
+    # pi is certified by imaging each point under a scanned witness (or
+    # composes such), so a Mobius map sends each sigma(p_k) to p_{pi(k)};
+    # fixed by three points, it is phi_sigma once phi_sigma agrees with it
+    # on p_0, p_1, p_2
     for i in h:
         sigma, pi = group.elements[i], perms[i]
         if set(pi) != set(range(d.degree)) or any(

@@ -458,15 +458,14 @@ def test_dead_fast_path_rules_rejected():
 
 def test_decide_scans_the_triples_once(monkeypatch):
     # one full scan (Aut); every witness search stops at its hit, and
-    # every scan computes exact cross-ratios only for the triples whose
-    # first cross-ratio mod a split prime lies in the reduced target
-    # signature: the matches and rare collisions (27 calls here, with the
-    # signatures)
+    # every scan decides its triples mod a split prime: exact arithmetic
+    # builds a map only for a triple whose every cross-ratio matches mod
+    # p, to certify it (5 here: the 2 elements of Aut and 3 witnesses)
     divisor_mod = importlib.import_module("p1moduli.divisor")
     calls = []
     scan = divisor_mod.ordered_triples
-    cross_ratio_calls = []
-    cross_ratios = divisor_mod._cross_ratios
+    certified = []
+    mobius_from_triples = divisor_mod.mobius_from_triples
 
     def recorded(n):
         consumed = []
@@ -476,11 +475,11 @@ def test_decide_scans_the_triples_once(monkeypatch):
             yield t
 
     def counted(*args):
-        cross_ratio_calls.append(args[-1])
-        return cross_ratios(*args)
+        certified.append(args)
+        return mobius_from_triples(*args)
 
     monkeypatch.setattr(divisor_mod, "ordered_triples", recorded)
-    monkeypatch.setattr(divisor_mod, "_cross_ratios", counted)
+    monkeypatch.setattr(divisor_mod, "mobius_from_triples", counted)
     d = obstructed_eight()
     v = decide(d)
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
@@ -488,7 +487,7 @@ def test_decide_scans_the_triples_once(monkeypatch):
     full = [c for c in calls if len(c) == n * (n - 1) * (n - 2)]
     assert len(full) == 1 and calls[0] is full[0]
     assert len(calls) > 1
-    assert len(cross_ratio_calls) <= 40
+    assert 0 < len(certified) <= 8
 
 
 def test_decide_images_no_divisor_again(monkeypatch):
@@ -510,12 +509,13 @@ def test_decide_images_no_divisor_again(monkeypatch):
 
 
 def test_decide_inverts_and_reduces_on_demand(monkeypatch):
-    # bracket inverses are built when a cross-ratio first reads them, and
-    # the fingerprints reduce the 2n point coordinates mod p instead of
-    # every bracket: 275 inversions and 36 residues here, 295 and 84 when
-    # the whole bracket table was inverted and reduced up front
-    calls = {"inverse": 0, "residue": 0}
-    for name in calls:
+    # the scans read the points mod p, x coordinates only, and build no
+    # exact bracket: 254 inversions, 32 residues and 450 kernel products
+    # here, 277, 36 and 701 when survivors of the first mod-p test were
+    # checked on exact bracket rows
+    qfield_mod = importlib.import_module("p1moduli.qfield")
+    calls = {"inverse": 0, "residue": 0, "_mul": 0}
+    for name in ("inverse", "residue"):
         method = getattr(FieldElem, name)
 
         def counting(self, *args, _name=name, _method=method):
@@ -523,10 +523,18 @@ def test_decide_inverts_and_reduces_on_demand(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(FieldElem, name, counting)
+    kernel_mul = qfield_mod._mul
+
+    def counted_mul(*args):
+        calls["_mul"] += 1
+        return kernel_mul(*args)
+
+    monkeypatch.setattr(qfield_mod, "_mul", counted_mul)
     v = decide(obstructed_eight())
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
-    assert 0 < calls["inverse"] <= 280
-    assert 0 < calls["residue"] <= 40
+    assert 0 < calls["inverse"] <= 260
+    assert 0 < calls["residue"] <= 36
+    assert 0 < calls["_mul"] <= 480
 
 
 def test_fake_failing_place_detected():

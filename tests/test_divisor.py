@@ -11,17 +11,15 @@ from p1moduli.divisor import (
     AutGroup,
     Divisor,
     TripleTable,
-    _brackets,
-    _fingerprint,
     _matches,
-    _signature,
     compute_aut,
     conjugate_divisor,
     pgl2_equivalent,
 )
 from p1moduli.errors import DegreeTooSmall
 from p1moduli.projline import Mobius, ProjPoint, mobius_from_triples
-from p1moduli.qfield import FieldTower, galois_group, multiquadratic_tower
+from p1moduli.qfield import FieldElem, FieldTower, galois_group, \
+    multiquadratic_tower
 
 F = Fraction
 Q = FieldTower.rationals()
@@ -474,10 +472,9 @@ def test_degree_six_c2_table():
 
 def kept_first_witness(table, e):
     """The first map from e onto the table's divisor, found by a scan
-    that filters its triples with the brackets mod p the Aut scan kept."""
-    sig = _signature(*_brackets(e.points), (0, 1, 2))
-    hit = next(_matches(e.points, (0, 1, 2), sig, table.divisor.points,
-                        table.br, table.inv, table.mods), None)
+    that reads the divisor's points mod p as the Aut scan reduced them."""
+    hit = next(_matches(e.points, (0, 1, 2), table.divisor.points, [],
+                        table.mods), None)
     return hit and hit[0]
 
 
@@ -527,8 +524,8 @@ def assert_perms_match_imaging(d, rng):
     pts = d.points
     # Aut: the full scan, with the permutation of each element
     base = (0, 1, 2)
-    sig = _signature(table.br, table.inv, base)
-    hits = list(_matches(pts, base, sig, pts, table.br, table.inv, []))
+    mods = []
+    hits = list(_matches(pts, base, pts, mods, mods))
     assert {m for m, _ in hits} == set(table.aut.elements)
     for m, perm in hits:
         assert perm == imaged_perm(pts, m, pts)
@@ -543,8 +540,7 @@ def assert_perms_match_imaging(d, rng):
             assert hit[1] == imaged_perm(conj, hit[0], pts)
     # pgl2_equivalent: every map from a planted image e back onto D
     e = d.apply(random_mobius(rng, d.tower))
-    sig = _signature(*_brackets(e.points), base)
-    hits = list(_matches(e.points, base, sig, pts, table.br, table.inv, []))
+    hits = list(_matches(e.points, base, pts, [], table.mods))
     assert len(hits) == table.aut.order
     assert hits[0][0] == pgl2_equivalent(e, d)
     for m, perm in hits:
@@ -577,47 +573,117 @@ def test_next_split_prime_when_the_first_fails():
         e = d.apply(random_mobius(rng, tower))
         assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
         assert pgl2_equivalent(d, e) == oracle_equivalent(d, e) is not None
-        # a target with p in a denominator: the cross-ratio -1/p of 1 + p
-        # with the base triple (inf, 0, 1) of f, whose map is z -> 1/(1 - z)
-        f = rational_divisor([0, 1, 1 + p, 2, 3], with_inf=True, tower=tower)
-        sig = _signature(*_brackets(f.points), (0, 1, 2))
-        assert tower.from_rational(F(-1, p)) in sig
-        mods = []
-        assert _fingerprint(d.points, sig, mods)[0] == p1
-        assert mods[0] is None
+        # a source that fails at p while the target reduces there: a point
+        # that meets another mod p (1 + p), or one with p in a denominator
         g = rational_divisor([0, 1, 2, 3, 4, 6], tower=tower)
-        mods = []
-        assert _fingerprint(g.points, sig, mods)[0] == p1 \
-            and mods[0] is not None
-        assert pgl2_equivalent(f, g) == oracle_equivalent(f, g)
+        for v in (1 + p, F(1, p)):
+            f = rational_divisor([0, 1, v, 2, 3], with_inf=True, tower=tower)
+            src_mods, mods = [], []
+            hit = next(_matches(f.points, (0, 1, 2), g.points, src_mods,
+                                mods), None)
+            assert (hit and hit[0]) == oracle_equivalent(f, g)
+            assert src_mods[0] is None and src_mods[1][0][0] == p1
+            assert mods[0] is not None and len(mods) == 2
+            h = f.apply(random_mobius(rng, tower))
+            assert pgl2_equivalent(f, h) == oracle_equivalent(f, h) \
+                is not None
+            assert pgl2_equivalent(h, f) == oracle_equivalent(h, f) \
+                is not None
 
 
 def test_a_miss_reads_no_bracket_of_the_target(monkeypatch):
-    # the fingerprints come from the residues of the points, so a scan in
-    # which no triple survives the filter computes no exact bracket of
-    # the divisor it scans: only rows 0 and 2 of d, for its signature
+    # every triple is decided mod p, on brackets formed from the residues
+    # of the points, so a miss computes no exact bracket and no
+    # mobius_from_triples of either divisor
     divisor_mod = importlib.import_module("p1moduli.divisor")
+    projline_mod = importlib.import_module("p1moduli.projline")
     rng = random.Random(1717)
     t = multiquadratic_tower([-1, 2])
     d, other = (random_tower_divisor(rng, t, 8) for _ in range(2))
     assert oracle_equivalent(d, other) is None
-    seen, survivors = [], []
-    bracket, cross_ratios = divisor_mod.bracket, divisor_mod._cross_ratios
+    seen = []
 
-    def recorded(p, q):
-        seen.append((p, q))
-        return bracket(p, q)
+    def recorded(module, name):
+        f = getattr(module, name)
 
-    def counted(br, inv, t):
-        survivors.append(t)
-        return cross_ratios(br, inv, t)
+        def call(*args):
+            seen.append(name)
+            return f(*args)
 
-    monkeypatch.setattr(divisor_mod, "bracket", recorded)
-    monkeypatch.setattr(divisor_mod, "_cross_ratios", counted)
+        monkeypatch.setattr(module, name, call)
+
+    recorded(projline_mod, "bracket")
+    recorded(divisor_mod, "mobius_from_triples")
     assert pgl2_equivalent(d, other) is None
-    assert survivors == [(0, 1, 2)]    # d's signature, no survivor
-    own = {id(p) for p in other.points}
-    assert seen and not any(id(p) in own or id(q) in own for p, q in seen)
+    assert seen == []
+    # a hit builds its map, so both are watched
+    assert pgl2_equivalent(d, d.apply(random_mobius(rng, t))) is not None
+    assert {"bracket", "mobius_from_triples"} <= set(seen)
+
+
+def small_split_primes(start, stop):
+    """Primes from start below stop, as split primes of Q."""
+    return [(p, [1]) for p in range(start, stop)
+            if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def test_false_mod_p_matches_are_refused_exactly(monkeypatch):
+    # at small primes a triple can match every cross-ratio mod p without
+    # matching exactly; imaging under its map must refuse it, so Aut and
+    # the first witnesses still equal the exact oracles
+    divisor_mod = importlib.import_module("p1moduli.divisor")
+    primes = small_split_primes(11, 1000)
+    monkeypatch.setattr(FieldTower, "split_prime",
+                        lambda self, k=0: primes[k])
+    certified, matched = [], []
+    build, matches = divisor_mod.mobius_from_triples, divisor_mod._matches
+
+    def counted_build(*args):
+        certified.append(args)
+        return build(*args)
+
+    def counted_matches(*args):
+        for hit in matches(*args):
+            matched.append(hit)
+            yield hit
+
+    monkeypatch.setattr(divisor_mod, "mobius_from_triples", counted_build)
+    monkeypatch.setattr(divisor_mod, "_matches", counted_matches)
+    rng = random.Random(1818)
+    for _ in range(40):
+        d = random_rational_divisor(rng, rng.randint(4, 8))
+        assert compute_aut(d).elements == AutGroup(oracle_aut(d)).elements
+        e = d.apply(random_mobius(rng))
+        assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
+        other = random_rational_divisor(rng, d.degree)
+        assert pgl2_equivalent(other, d) == oracle_equivalent(other, d)
+    assert len(certified) > len(matched) > 0
+
+
+def test_a_trivial_aut_scan_builds_one_map(monkeypatch):
+    # the Aut scan certifies only full mod-p matches, so with trivial Aut
+    # it builds the identity alone: one map and the inverse that
+    # normalises it, where checking survivors of the first mod-p test on
+    # exact bracket rows took 16 inversions
+    divisor_mod = importlib.import_module("p1moduli.divisor")
+    d = random_tower_divisor(random.Random(1819), multiquadratic_tower([2]),
+                             8)
+    assert len(oracle_aut(d)) == 1
+    calls = {"maps": 0, "inverses": 0}
+    build, inverse = divisor_mod.mobius_from_triples, FieldElem.inverse
+
+    def counted_build(*args):
+        calls["maps"] += 1
+        return build(*args)
+
+    def counted_inverse(self):
+        calls["inverses"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(divisor_mod, "mobius_from_triples", counted_build)
+    monkeypatch.setattr(FieldElem, "inverse", counted_inverse)
+    assert TripleTable(d).aut.order == 1
+    assert calls["maps"] == 1 and calls["inverses"] <= 2
 
 
 def test_table_requires_three_points():
