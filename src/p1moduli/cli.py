@@ -117,11 +117,14 @@ def parse_point(tower: FieldTower, obj, path: str) -> ProjPoint:
     return ProjPoint.finite(parse_elem(tower, obj, path))
 
 
-def parse_divisor(obj, path: str) -> Divisor:
+def parse_divisor(obj, path: str,
+                  like: Optional[FieldTower] = None) -> Divisor:
+    """A divisor, in the tower object ``like`` when its tower equals it."""
     d = _expect(obj, dict, path, "a divisor object")
     if "points" not in d:
         raise SchemaError(f"{path}.points: missing")
     tower = parse_tower(d.get("tower", []), f"{path}.tower")
+    tower = like if tower == like else tower
     raw = _expect(d["points"], list, f"{path}.points", "a list of points")
     pts = [parse_point(tower, p, f"{path}.points[{i}]")
            for i, p in enumerate(raw)]
@@ -279,7 +282,7 @@ def cmd_equivalence(payload) -> tuple[dict, int]:
         if key not in obj:
             raise SchemaError(f"$.{key}: missing")
     d1 = parse_divisor(obj["first"], "$.first")
-    d2 = parse_divisor(obj["second"], "$.second")
+    d2 = parse_divisor(obj["second"], "$.second", d1.tower)
     if d1.tower != d2.tower:
         raise SchemaError("$.second.tower: towers do not match")
     witness = pgl2_equivalent(d1, d2)

@@ -18,7 +18,7 @@ classical finite Mobius groups, classified by element-order statistics.
 
 from __future__ import annotations
 
-from itertools import count, permutations
+from itertools import accumulate, count, permutations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -226,15 +226,25 @@ def _reduce(pts, split):
     at a split prime (p, h(e_mask)), from the residues of the x coordinates
     alone (points are normalised to y = 1 or (1 : 0)); None if some x is
     not p-integral or two of the points meet mod p."""
-    p = split[0]
+    p, n = split[0], len(pts)
     hpts = [(q.x.residue(split), 0 if q.is_infinity() else 1) for q in pts]
     if any(x is None for x, _ in hpts):
         return None
     hbr = [[(x * w - u * y) % p for u, w in hpts] for x, y in hpts]
     # no zero beyond the diagonal's n zeros
-    if sum(not v for r in hbr for v in r) > len(pts):
+    if sum(not v for r in hbr for v in r) > n:
         return None
-    return split, hbr, [[v and pow(v, -1, p) for v in row] for row in hbr]
+    # one inversion for the brackets above the diagonal, by prefix products
+    # (Montgomery's trick); [p_j, p_i] = -[p_i, p_j] gives the rest
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    prefix = list(accumulate((hbr[i][j] for i, j in pairs),
+                             lambda a, b: a * b % p, initial=1))
+    inv, hinv = pow(prefix.pop(), -1, p), [[0] * n for _ in range(n)]
+    for (i, j), before in zip(reversed(pairs), reversed(prefix)):
+        hinv[i][j] = inv * before % p
+        hinv[j][i] = p - hinv[i][j]
+        inv = inv * hbr[i][j] % p
+    return split, hbr, hinv
 
 
 def _reduced(pts, mods, k):

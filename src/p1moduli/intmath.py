@@ -23,13 +23,16 @@ trial_bound: ContextVar[int] = ContextVar("trial_bound", default=TRIAL_BOUND)
 # below this bound Miller-Rabin on the first 12 primes is exact
 # (Sorenson and Webster, 2015; 3.3e24 needs the 13th prime, 41, as well)
 MR_EXACT_BOUND = 318665857834031151167461
+# and on the first 4 alone below their first exception (Jaeschke, 1993)
+MR_SMALL_BOUND = 3215031751  # = 151 * 751 * 28351, above the split primes
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n < MR_EXACT_BOUND (3.2e23)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -37,7 +40,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES[:4] if n < MR_SMALL_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

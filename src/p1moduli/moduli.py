@@ -40,8 +40,7 @@ from .errors import (
 from .intmath import primitive_scale
 from .linalg import det, inverse, mat_map, mat_mul, mat_vec, proportional, \
     transpose
-from .projline import Mobius, ProjPoint, mobius_order_and_fixed, \
-    mobius_to_triple
+from .projline import Mobius, ProjPoint, mobius_order_and_fixed
 from .qfield import (
     FieldElem,
     FieldTower,
@@ -255,6 +254,22 @@ def _power_map(p: ProjPoint, m: int) -> ProjPoint:
     return ProjPoint(p.x ** m, p.y ** m)
 
 
+def _descend(phi: Mobius, m: int) -> Mobius:
+    """psi with psi(w^m) = phi(w)^m, for a twisted witness phi.
+
+    For m > 1, phi sends s(kappa D) to kappa D, so it conjugates their
+    stabilizers <w -> s(zeta) w> and <w -> zeta w>, which are one group G.
+    Normalising G, phi permutes the fixed points 0 and infinity of its
+    generator: it is w -> aw or w -> b/w, and psi is phi with its entries
+    raised to the m-th power."""
+    if m == 1:
+        return phi
+    a, b, c, d = phi.entries()
+    if not (b.is_zero() and c.is_zero() or a.is_zero() and d.is_zero()):
+        raise DescentFailure("twisted witness does not normalise Aut")
+    return Mobius(a ** m, b ** m, c ** m, d ** m)
+
+
 def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
                    h_indices: Iterable[int]) -> tuple[GaloisGroup, dict]:
     """All automorphisms of tower2 extending the given subgroup of the
@@ -349,18 +364,12 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
                for q, j in zip(moved[:3], pi)):
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
-    # descend each phi~ through q(w) = w^m via three rational sections
-    sections = [ProjPoint.finite(tower2.from_rational(2)),
-                ProjPoint.finite(tower2.from_rational(3)),
-                ProjPoint.infinity(tower2)]
-    from_sections = mobius_to_triple(
-        *(_power_map(w, m) for w in sections)).inverse()
+    # descend each phi~ through q(w) = w^m, psi o q = q o phi~
     check_pt = ProjPoint.finite(tower2.from_rational(5))
     check_image = _power_map(check_pt, m)
     psi: dict[int, Mobius] = {}
     for k in range(h2.order):
-        psi[k] = mobius_to_triple(*(_power_map(phit[k](w), m)
-                                    for w in sections)).compose(from_sections)
+        psi[k] = _descend(phit[k], m)
         if psi[k](check_image) != _power_map(phit[k](check_pt), m):
             raise DescentFailure("quotient map does not descend the witness")
     # a trivial H2 has no generators; its one pair (1, 1) is still checked

@@ -207,7 +207,36 @@ def test_equivalence_tower_mismatch(tmp_path, capsys):
                "second": divisor_json(d2)}
     code, rep = invoke(tmp_path, capsys, "equivalence", payload)
     assert code == 2
-    assert "towers" in rep["error"]["message"]
+    assert rep["error"]["message"] == "$.second.tower: towers do not match"
+    # the second divisor's points are still read before the towers are
+    # compared
+    payload["second"]["points"].append(payload["second"]["points"][0])
+    code, rep = invoke(tmp_path, capsys, "equivalence", payload)
+    assert code == 2
+    assert rep["error"]["message"].startswith("$.second.points: ")
+
+
+def test_equivalence_searches_split_primes_of_one_tower(tmp_path, capsys,
+                                                        monkeypatch):
+    # the second divisor's points are parsed into the first's tower
+    # object, so a request finds each split prime once
+    t = multiquadratic_tower([-1, 2])
+    i, r = t.root(0), t.root(1)
+    d1 = Divisor([fin(t, v) for v in (0, 1, 3, i, r, i + r, 2 * i - r)])
+    d2 = d1.apply(Mobius.from_rationals(t, 2, 1, 1, 1))
+    searched = []
+    split_prime = FieldTower.split_prime
+
+    def watched(self, k=0):
+        searched.append(self)
+        return split_prime(self, k)
+
+    monkeypatch.setattr(FieldTower, "split_prime", watched)
+    payload = {"first": divisor_json(d1), "second": divisor_json(d2)}
+    code, rep = invoke(tmp_path, capsys, "equivalence", payload)
+    assert code == 0 and rep["equivalent"] is True
+    assert len(searched) >= 2 and len(set(map(id, searched))) == 1
+    assert searched[0] == t and searched[0] is not t
 
 
 # ---------------------------------------------------------------------------

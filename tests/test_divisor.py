@@ -12,6 +12,7 @@ from p1moduli.divisor import (
     Divisor,
     TripleTable,
     _matches,
+    _reduce,
     compute_aut,
     conjugate_divisor,
     pgl2_equivalent,
@@ -619,6 +620,29 @@ def test_a_miss_reads_no_bracket_of_the_target(monkeypatch):
     # a hit builds its map, so both are watched
     assert pgl2_equivalent(d, d.apply(random_mobius(rng, t))) is not None
     assert {"bracket", "mobius_from_triples"} <= set(seen)
+
+
+def test_reduce_inverts_every_bracket():
+    # one modular inversion, prefix products and antisymmetry give the
+    # same table as inverting each bracket on its own
+    rng = random.Random(1919)
+    towers = [Q, multiquadratic_tower([2]), multiquadratic_tower([-1, 2]),
+              multiquadratic_tower([-1, 2, 3])]
+    for tower in towers:
+        for degree in range(4, 11):
+            d = random_tower_divisor(rng, tower, degree,
+                                     with_inf=degree % 2 == 1)
+            (p, _), hbr, hinv = _reduce(d.points, tower.split_prime(0))
+            assert hinv == [[v and pow(v, -1, p) for v in row]
+                            for row in hbr]
+
+
+def test_reduce_refuses_points_that_meet():
+    p = Q.split_prime(0)[0]
+    for with_inf in (False, True):
+        d = rational_divisor([0, 1, -1, 5, p], with_inf=with_inf)
+        assert _reduce(d.points, Q.split_prime(0)) is None
+        assert _reduce(d.points, Q.split_prime(1)) is not None
 
 
 def small_split_primes(start, stop):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from p1moduli import intmath
-from p1moduli.intmath import MR_EXACT_BOUND, factorint, squarefree_part
+from p1moduli.intmath import MR_EXACT_BOUND, MR_SMALL_BOUND, factorint, \
+    is_probable_prime, squarefree_part
 
 # primes on either side of the default trial bound 10^6
 BELOW = (999979, 999983)
@@ -80,6 +81,23 @@ def test_prime_squares_on_either_side_of_exact_test_bound():
     # above the bound the cofactor test is skipped; trial division and
     # the square check after it still find the factorization
     assert factorint(above ** 2) == {above: 2}
+
+
+def test_strong_pseudoprimes_are_composite():
+    # 3215031751 passes the bases 2, 3, 5 and 7, so from it on all 12 are
+    # used; the others pass 2, 3 and 5 and are caught by 7
+    assert MR_SMALL_BOUND == 3215031751 == 151 * 751 * 28351
+    for n in (3215031751, 25326001, 161304001, 960946321, 1157839381):
+        assert trial_factor(n) != {n: 1}
+        assert not is_probable_prime(n)
+
+
+def test_primality_matches_trial_division_below_two_to_the_31():
+    # the window the split primes are searched in
+    small = [q for q in range(2, 46341) if trial_factor(q) == {q: 1}]
+    top = 2 ** 31
+    for n in range(top - 3000, top):
+        assert is_probable_prime(n) == all(n % q for q in small), n
 
 
 def test_squarefree_part_signs_and_fractions():

@@ -356,14 +356,12 @@ def test_compression_cocycle_checks_reach_non_generators(
     # z -> 2z - 5^m fixes the point where psi is checked against the
     # witness it descends, and moves every other point
     shift = Mobius.from_rationals(clean.tower2, 2, -5 ** clean.m, 0, 1)
-    # psi_k = T_k o S^-1, with S the map from 0, 1, oo to the images of
-    # the sections (built once, before the loop) and T_k the one to the
-    # images of their twisted images; T_k o S^-1 o shift o S spoils
-    # psi_k to psi_k o shift
+    # psi_k is descended from the k-th twisted witness in closed form,
+    # one call per element of H2 and none before the loop; the spoiler
+    # turns psi_k into psi_k o shift
     name, before, spoiler, message = {
-        "psi": ("mobius_to_triple", 1,
-                lambda t, s: t.compose(s.inverse()).compose(shift)
-                .compose(s),
+        "psi": ("_descend", 0,
+                lambda psi, _: psi.compose(shift),
                 "1-cocycle identity fails for psi"),
         "rho": ("_sym2_over_det", 0,
                 lambda rho, _: [[2 * x for x in row] for row in rho],

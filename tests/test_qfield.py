@@ -702,3 +702,11 @@ def test_split_prime_residue_is_a_ring_homomorphism(t):
             assert (x - y).residue(split) == (hx - hy) % p
         assert t.from_rational(F(3, p)).residue(split) is None
     assert t.split_prime(1)[0] < t.split_prime(0)[0]
+
+
+@pytest.mark.parametrize("radicands, p0", [
+    ([-1], 2147483629), ([-1, 2], 2147483497),
+    ([-1, -2, -3, -5], 2147482921)])
+def test_first_split_prime_is_pinned(radicands, p0):
+    # the search order and the primality test decide which prime is found
+    assert multiquadratic_tower(radicands).split_prime(0)[0] == p0
