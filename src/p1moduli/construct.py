@@ -78,17 +78,16 @@ class DoubleCoverData:
         self.divisor = divisor
         self.deck = deck
 
-    def cover(self, z: ProjPoint) -> tuple:
-        """Image of a point of the covering line on the conic."""
-        t = z.tower
-        sq = ProjPoint(z.x * z.x, z.y * z.y)
-        par = self.nu.embed(t).inverse().apply(sq)
-        out = []
-        for alpha, beta, gamma in self.parametrization.coeffs:
-            out.append(par.x * par.x * t.embed(alpha)
-                       + par.x * par.y * t.embed(beta)
-                       + par.y * par.y * t.embed(gamma))
-        return tuple(out)
+    def cover(self, points: Sequence[ProjPoint]) -> list[tuple]:
+        """Images on the conic, in unnormalised homogeneous coordinates,
+        of points of the covering line that share one tower; nu^-1 and the
+        parametrisation are embedded in that tower once."""
+        t = points[0].tower
+        nu_inv = self.nu.embed(t).inverse()
+        par = Parametrization(self.parametrization.form, [
+            tuple(map(t.embed, c)) for c in self.parametrization.coeffs])
+        return [par.apply(*nu_inv.image(z.x * z.x, z.y * z.y))
+                for z in points]
 
     @property
     def section_points(self) -> list:
@@ -439,14 +438,14 @@ def _check_bookkeeping(spec, sections, divisor, include_ram):
 
 def _check_cover(data: DoubleCoverData, big: FieldTower):
     e_img = [tuple(big.embed(c) for c in pt) for pt in data.section_points]
-    for z in data.divisor.points:
-        img = data.cover(z)
+    *images, over_p, over_pbar = data.cover(
+        [*data.divisor.points, ProjPoint.finite(big.zero()),
+         ProjPoint.infinity(big)])
+    for img in images:
         if not any(proportional(img, e) for e in e_img):
             raise InternalInconsistency("divisor point does not lie over E")
     p_img = tuple(big.embed(c) for c in data.p)
     pbar_img = tuple(big.embed(c) for c in data.pbar)
-    over_p = data.cover(ProjPoint.finite(big.zero()))
-    over_pbar = data.cover(ProjPoint.infinity(big))
     if not (proportional(over_p, p_img)
             and proportional(over_pbar, pbar_img)):
         raise InternalInconsistency("cover must ramify exactly over the "

@@ -10,18 +10,18 @@ For cyclic Aut of order m the quotient by Aut is computed literally: a
 generator is conjugated to w -> zeta w by sending its fixed points to 0
 and infinity, the quotient map is w -> w^m, and the twisted Galois
 action descends to the target line. Embedding the target by the degree-2
-Veronese and dividing the symmetric square of each descended map by its
-determinant yields an exact matrix 1-cocycle; averaging over the Galois
-group cuts out a 3-dimensional rational subspace, and the Veronese
-quadric expressed in that basis is the compression conic over the field
-of moduli.
+Veronese, the symmetric square of each descended map over its determinant
+is an exact matrix 1-cocycle, proved from the checked projective one and
+not checked itself; averaging over the Galois group cuts out a rational
+3-space, and the Veronese quadric in that basis is the compression conic
+over the field of moduli.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .conic import TernaryForm
 from .divisor import (
@@ -38,8 +38,8 @@ from .errors import (
     UnsupportedAut,
 )
 from .intmath import primitive_scale
-from .linalg import det, inverse, mat_map, mat_mul, mat_vec, proportional, \
-    transpose
+from .linalg import det, dot, inverse, mat_map, mat_mul, mat_vec, \
+    proportional, transpose
 from .projline import Mobius, ProjPoint, mobius_order_and_fixed
 from .qfield import (
     FieldElem,
@@ -128,11 +128,12 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     # composes such), so a Mobius map sends each sigma(p_k) to p_{pi(k)};
     # fixed by three points, it is phi_sigma once phi_sigma agrees with it
     # on p_0, p_1, p_2
+    pts = d.points
     for i in h:
         sigma, pi = group.elements[i], perms[i]
-        if set(pi) != set(range(d.degree)) or any(
-                cochain[i](ProjPoint(sigma(p.x), sigma(p.y))) != d.points[k]
-                for p, k in zip(d.points[:3], pi)):
+        if set(pi) != set(range(d.degree)) or not all(
+                cochain[i].sends(sigma(p.x), sigma(p.y), pts[k].x, pts[k].y)
+                for p, k in zip(pts[:3], pi)):
             raise InternalInconsistency("witness does not carry sigma(D) to D")
     fom = fixed_subtower(group, h)
     return ModuliData(group, h, cochain, perms, fom, d, table.aut)
@@ -211,11 +212,11 @@ def _veronese_q(u, v):
     return (u[0] * v[2] + u[2] * v[0]) * F(1, 2) - u[1] * v[1]
 
 
-def _sym2_over_det(m: Mobius):
-    """Symmetric square of a 2x2 matrix divided by its determinant; the
-    canonical scale-independent action on Veronese coordinates."""
-    a, b, c, d = m.entries()
-    inv = m.det().inverse()
+def _sym2_over_det(a, b, c, d):
+    """Symmetric square of the matrix [[a, b], [c, d]] divided by its
+    determinant; the canonical scale-independent action on Veronese
+    coordinates."""
+    inv = (a * d - b * c).inverse()
     two = 2
     return [[a * a * inv, two * a * b * inv, b * b * inv],
             [a * c * inv, (a * d + b * c) * inv, b * d * inv],
@@ -243,15 +244,10 @@ class CompressionResult:
 
     def quotient_map(self, p: ProjPoint) -> ProjPoint:
         """The quotient map w -> w^m in the conjugated coordinates."""
-        return _power_map(p, self.m)
+        return ProjPoint(p.x ** self.m, p.y ** self.m)
 
     def __repr__(self) -> str:
         return f"CompressionResult(m={self.m}, conic={self.conic!r})"
-
-
-def _power_map(p: ProjPoint, m: int) -> ProjPoint:
-    """w -> w^m on homogeneous coordinates."""
-    return ProjPoint(p.x ** m, p.y ** m)
 
 
 def _descend(phi: Mobius, m: int) -> Mobius:
@@ -271,27 +267,24 @@ def _descend(phi: Mobius, m: int) -> Mobius:
 
 
 def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
-                   h_indices: Iterable[int]) -> tuple[GaloisGroup, dict]:
+                   h_indices: Sequence[int]) -> tuple[GaloisGroup, dict]:
     """All automorphisms of tower2 extending the given subgroup of the
     base tower's group; also the restriction map to base indices.
 
     tower2 is the base tower plus at most one extra quadratic step. The
     result is Gal(tower2 / fixed field of H), of size |H| or 2|H|.
     """
-    lifts: list[GaloisAut] = []
-    restriction: dict = {}
     extra = tower2.level - base.level
     if extra not in (0, 1):
         raise InternalInconsistency("tower2 must extend the base by one step")
-    rad = base.element(tower2.rad_coords[base.level]) if extra else None
+    if extra == 0:
+        return group.subgroup(h_indices), dict(enumerate(h_indices))
+    lifts: list[GaloisAut] = []
+    restriction: dict = {}
+    rad = base.element(tower2.rad_coords[base.level])
     for i in h_indices:
         sigma = group.elements[i]
         images = [tower2.embed(img) for img in sigma.images]
-        if extra == 0:
-            aut = GaloisAut(tower2, tuple(images))
-            lifts.append(aut)
-            restriction[aut.key()] = i
-            continue
         conj = tower2.embed(sigma(rad))
         root = conj.sqrt()
         if root is None:
@@ -307,6 +300,12 @@ def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
     return g2, restr
 
 
+def _matrix(m: Mobius, tower: FieldTower):
+    """The entries of m, embedded in tower, as a 2x2 matrix."""
+    e = tower.embed
+    return [[e(m.a), e(m.b)], [e(m.c), e(m.d)]]
+
+
 def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     """The conic model of P1/Aut over the field of moduli.
 
@@ -316,12 +315,12 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     symmetric-square cocycle.
 
     Every twisted witness is checked on three moved points of D against its
-    permutation, and every descended map psi on a test point. The 1-cocycle
-    identities of psi and of rho = Sym^2(psi)/det(psi) are checked for s in
-    a greedy generating set S of H2 and every t (``_assert_cocycle`` says
-    why that is enough), and each projector output only for fixity under S:
-    once rho is a cocycle, v -> rho_s s(v) is an action of H2, so a vector
-    fixed by S is fixed by all of H2.
+    permutation, every descended map psi on a test point, and the psi
+    1-cocycle identity, up to scale, for s in a greedy generating set S of
+    H2 and every t (``_assert_cocycle`` says why that is enough). That rho
+    = Sym^2(psi)/det(psi) is then an exact cocycle is proved where rho is
+    built, not checked, and as v -> rho_s s(v) is an action of H2, each
+    projector output is checked for fixity under S only.
     """
     aut = data.aut
     if not aut.is_cyclic():
@@ -330,9 +329,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     base = d.tower
 
     if m == 1:
-        tower2 = base
-        kappa = Mobius.identity(base)
-        zeta = base.one()
+        tower2, kappa = base, Mobius.identity(base)
     else:
         gen = aut.generator()
         res = mobius_order_and_fixed(gen, max_order=max(24, m))
@@ -341,68 +338,69 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         tower2 = res.tower
         p_plus, p_minus = res.fixed
         kappa = Mobius(p_plus.y, -p_plus.x, p_minus.y, -p_minus.x)
-        gen2 = gen.embed(tower2)
-        gtilde = kappa.compose(gen2).compose(kappa.inverse())
-        if not (gtilde.b.is_zero() and gtilde.c.is_zero()):
+    kmat, kinv = _matrix(kappa, tower2), _matrix(kappa.inverse(), tower2)
+    zeta = tower2.one()
+    if m > 1:
+        (a, b), (c, e) = mat_mul(mat_mul(kmat, _matrix(gen, tower2)), kinv)
+        if not (b.is_zero() and c.is_zero()):
             raise InternalInconsistency("conjugated generator is not diagonal")
-        zeta = gtilde.a / gtilde.d
+        zeta = a / e
         if zeta ** m != tower2.one():
             raise InternalInconsistency("scaling factor is not an m-th root of 1")
 
     h2, restr = _lift_subgroup(tower2, base, data.group, data.h_indices)
     moved = [kappa(p.embed(tower2)) for p in d.points]  # kappa(D), D's order
 
-    # twisted maps phi~ = kappa o phi o s(kappa)^-1 send s(kappa p_k) to
+    # twisted maps phi~ = kappa o phi o s(kappa)^-1, each the one matrix
+    # product kappa phi s(kappa^-1) normalised once, send s(kappa p_k) to
     # kappa p_{pi(k)} for every k; a Mobius map is fixed by three points,
     # so three of them check it
     phit: dict[int, Mobius] = {}
-    for k in range(h2.order):
-        s, pi = h2.elements[k], data.perms[restr[k]]
-        phit[k] = kappa.compose(data.cochain[restr[k]].embed(tower2)).compose(
-            conjugate_mobius(s, kappa).inverse())
-        if any(phit[k](ProjPoint(s(q.x), s(q.y))) != moved[j]
-               for q, j in zip(moved[:3], pi)):
+    for k, s in enumerate(h2.elements):
+        i = restr[k]
+        twisted = mat_mul(mat_mul(kmat, _matrix(data.cochain[i], tower2)),
+                          mat_map(s, kinv))
+        phit[k] = Mobius(*twisted[0], *twisted[1])
+        if not all(phit[k].sends(s(q.x), s(q.y), moved[j].x, moved[j].y)
+                   for q, j in zip(moved[:3], data.perms[i])):
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
-    # descend each phi~ through q(w) = w^m, psi o q = q o phi~
-    check_pt = ProjPoint.finite(tower2.from_rational(5))
-    check_image = _power_map(check_pt, m)
+    # descend each phi~ through q(w) = w^m, psi o q = q o phi~, checked at 5
+    five, one = tower2.from_rational(5), tower2.one()
     psi: dict[int, Mobius] = {}
     for k in range(h2.order):
         psi[k] = _descend(phit[k], m)
-        if psi[k](check_image) != _power_map(phit[k](check_pt), m):
+        x, y = phit[k].image(five, one)
+        if not psi[k].sends(five ** m, one, x ** m, y ** m):
             raise DescentFailure("quotient map does not descend the witness")
     # a trivial H2 has no generators; its one pair (1, 1) is still checked
     gens = h2.generators(range(h2.order)) or [0]
-    _assert_cocycle(h2, gens, psi,
-                    lambda a, s, b: a.compose(conjugate_mobius(s, b)),
-                    "1-cocycle identity fails for psi")
+    _assert_cocycle(h2, gens, psi)
 
-    # exact matrix cocycle on Veronese coordinates
-    rho = {k: _sym2_over_det(psi[k]) for k in range(h2.order)}
-    _assert_cocycle(h2, gens, rho, lambda a, s, b: mat_mul(a, mat_map(s, b)),
-                    "matrix cocycle has scalar slack")
+    # rho_k = Sym^2(psi_k)/det(psi_k) on Veronese coordinates is an exact
+    # matrix cocycle, by proof rather than by a check: Sym^2(M)/det M does
+    # not change when M is scaled, is multiplicative (Sym^2 and det are)
+    # and commutes with Galois (its entries are rational functions over Q
+    # of those of M), so psi_st ~ psi_s s(psi_t) gives rho_st = rho_s s(rho_t)
+    rho = [_sym2_over_det(*psi[k].entries()) for k in range(h2.order)]
 
     # the twisted action v -> rho_k sigma_k(v), and its averaging
     # projector onto the rational 3-space
     def act(k, v):
         return mat_vec(rho[k], list(map(h2.elements[k], v)))
 
-    inv_n = F(1, h2.order)
-    def project(v):
-        images = [act(k, v) for k in range(h2.order)]
-        return [sum(c[1:], c[0]) * inv_n for c in zip(*images)]
-
     # the probes alpha_j e_i, over a Q-basis alpha_j of the tower, are a
     # Q-basis of tower2^3, so their projections span the fixed space over
-    # the tower; rational probes alone can land in a proper subspace
-    zero = tower2.from_rational(0)
+    # the tower; rational probes alone can land in a proper subspace. The
+    # projection of alpha e_i is sum_k sigma_k(alpha) rho_k[:, i] / |H2|
+    inv_n = F(1, h2.order)
     basis_cols: list[list[FieldElem]] = []
     for j, i in product(range(tower2.degree), range(3)):
         if len(basis_cols) == 3:
             break
         alpha = tower2.element([1 if t == j else 0 for t in range(tower2.degree)])
-        w = project([alpha if i == r else zero for r in range(3)])
+        conj = [s(alpha) for s in h2.elements]
+        w = [dot([r[row][i] for r in rho], conj) * inv_n for row in range(3)]
         if any(act(k, w) != w for k in gens):
             raise InternalInconsistency("projector output is not fixed")
         trial = basis_cols + [w]
@@ -431,20 +429,23 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         conic_gram_fom=gram_fom)
 
 
-def _assert_cocycle(group: GaloisGroup, gens: list[int], values: dict,
-                    mul, message: str) -> None:
-    """Assert values[st] = mul(values[s], s, values[t]), that is
-    v_s s(v_t), for s in ``gens`` and every t.
+def _assert_cocycle(group: GaloisGroup, gens: list[int],
+                    psi: dict[int, Mobius]) -> None:
+    """Assert psi_st = psi_s s(psi_t) up to scale for s in ``gens`` and
+    every t, comparing the unnormalised product with psi_st.
 
     With ``gens`` generating the group this is as strong as checking
-    every pair: the pairs (s, 1) give v_1 = 1, and if the identity holds
-    for g it holds for sg, as v_{sgt} = v_s s(v_g g(v_t)) = v_{sg} sg(v_t).
+    every pair: the pairs (s, 1) give psi_1 = 1, and if the identity holds
+    for g it holds for sg, as psi_{sgt} = psi_s s(psi_g g(psi_t)) =
+    psi_{sg} sg(psi_t), all in PGL2.
     """
     for s in gens:
-        sigma = group.elements[s]
-        for t in range(group.order):
-            if mul(values[s], sigma, values[t]) != values[group.table[s][t]]:
-                raise InternalInconsistency(message)
+        sigma, ps = group.elements[s], _matrix(psi[s], group.tower)
+        for t, pt in psi.items():
+            prod = mat_mul(ps, mat_map(sigma, _matrix(pt, group.tower)))
+            if not proportional(prod[0] + prod[1],
+                                psi[group.table[s][t]].entries()):
+                raise InternalInconsistency("1-cocycle identity fails for psi")
 
 
 def _cols_independent(cols) -> bool:

@@ -140,11 +140,21 @@ class Mobius:
     def trace(self) -> FieldElem:
         return self.a + self.d
 
+    def image(self, x: FieldElem, y: FieldElem) -> tuple[FieldElem, FieldElem]:
+        """The image of (x : y) as an unnormalised pair."""
+        return self.a * x + self.b * y, self.c * x + self.d * y
+
     def apply(self, p: ProjPoint) -> ProjPoint:
         if p.tower != self.tower:
             raise ValueError("point and map live in different towers")
-        return ProjPoint(self.a * p.x + self.b * p.y,
-                         self.c * p.x + self.d * p.y)
+        return ProjPoint(*self.image(p.x, p.y))
+
+    def sends(self, x: FieldElem, y: FieldElem, u: FieldElem, v: FieldElem
+              ) -> bool:
+        """Whether the map sends (x : y) to (u : v), neither of them (0 : 0).
+        Nothing is normalised: the image (X : Y) is (u : v) when X v = Y u."""
+        img_x, img_y = self.image(x, y)
+        return img_x * v == img_y * u
 
     __call__ = apply
 

@@ -714,6 +714,17 @@ class GaloisGroup:
         for i in range(n):
             self.inverses[i] = next(j for j in range(n) if self.table[i][j] == 0)
 
+    def subgroup(self, indices: Sequence[int]) -> "GaloisGroup":
+        """The subgroup on sorted ``indices``, closed under products, its
+        table read off this one's; its elements keep their ``index`` here."""
+        pos = {i: k for k, i in enumerate(indices)}
+        sub = GaloisGroup.__new__(GaloisGroup)
+        sub.tower = self.tower
+        sub.elements = tuple(self.elements[i] for i in indices)
+        sub.table = [[pos[self.table[i][j]] for j in indices] for i in indices]
+        sub.inverses = [pos[self.inverses[i]] for i in indices]
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -820,6 +831,14 @@ class SubfieldPresentation:
     def restrict(self, x: FieldElem) -> FieldElem:
         """Express a parent element lying in the subfield in subtower
         coordinates; raises when it does not lie there."""
+        if x.tower != self.parent:
+            raise ValueError("element does not live in the parent tower")
+        if self.tower == self.parent:   # the whole tower, basis e_0..e_n
+            return x
+        if self.tower.level == 0:
+            if not x.is_rational():
+                raise ValueError("element is not fixed by the subgroup")
+            return self.tower.from_rational(x.as_fraction())
         cols = [list(img.coords) for img in self.basis_images]
         m = linalg.transpose(cols)
         sol = linalg.solve(m, list(x.coords))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from p1moduli import linalg
 from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
 from p1moduli.intmath import is_probable_prime
 from p1moduli.qfield import (
@@ -298,6 +299,28 @@ def test_fixed_subtower_trivial_group_is_everything():
     assert pres.tower == t
     x = t.element([1, 2, 3, 4])
     assert pres.embed(pres.restrict(x)) == x
+
+
+def test_restrict_to_q_and_whole_tower_needs_no_elimination(monkeypatch):
+    # Q and the whole tower are read off the coordinates: a member comes
+    # back, a non-member raises, and no linear system is solved
+    def no_solve(*args):
+        raise AssertionError("restrict eliminated")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    t = multiquadratic_tower([-1, 2, 5])
+    g = galois_group(t)
+    q_pres = fixed_subtower(g, range(g.order))
+    whole = fixed_subtower(g, [0])
+    assert (q_pres.tower.level, whole.tower) == (0, t)
+    x = t.element([F(1, 3), 2, 0, -1, 5, 0, 7, F(-2, 9)])
+    assert q_pres.restrict(t.from_rational(F(-7, 4))) == \
+        q_pres.tower.from_rational(F(-7, 4))
+    with pytest.raises(ValueError):
+        q_pres.restrict(x)
+    assert whole.restrict(x) == x
+    with pytest.raises(ValueError):
+        whole.restrict(multiquadratic_tower([-1, 2, 3]).root(2))
 
 
 def test_fixed_subtower_index_two():
