@@ -89,6 +89,22 @@ def test_apply_handles_infinity():
     assert shift(pt(4)) == pt(5)
 
 
+def test_sends_agrees_with_apply_on_unnormalised_pairs():
+    # sends compares (x : y) -> (u : v) without normalising either pair,
+    # so scaled pairs and infinity on either side must agree with apply
+    rng = random.Random(8080)
+    t = multiquadratic_tower([2])
+    r = t.root(0)
+    for _ in range(20):
+        m = random_mobius(t, rng)
+        p = rng.choice([ProjPoint.finite(r + rng.randint(-5, 5)),
+                        ProjPoint.infinity(t)])
+        q, other = m(p), m(ProjPoint.finite(r * 3 + 7))  # other != q
+        x, y, k = p.x * (r + 2), p.y * (r + 2), r - 5
+        assert m.sends(x, y, q.x * k, q.y * k)
+        assert not m.sends(x, y, other.x * k, other.y * k)
+
+
 def test_inverse_of_shift():
     shift = Mobius.from_rationals(Q, 1, 1, 0, 1)
     inv = shift.inverse()
