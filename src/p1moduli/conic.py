@@ -140,8 +140,14 @@ def diagonalize(f: TernaryForm) -> tuple[tuple[int, int, int], linalg.Matrix]:
     """Exact congruence diagonalization with squarefree integer entries.
 
     Returns (coefficients, B) with B^T G B = diag(coefficients); points
-    of the diagonal conic map to points of f through B.
+    of the diagonal conic map to points of f through B. A form that is
+    already diagonal with squarefree integer entries has B = I.
     """
+    (d0, _, _), (u, d1, _), (v, w, d2) = f.gram
+    diag = (d0, d1, d2)
+    if not (u or v or w) and all(d and d.denominator == 1
+                                 and squarefree_part(d) == d for d in diag):
+        return tuple(map(int, diag)), linalg.identity(3)
     if not f.is_nonsingular():
         raise SingularForm("conic operations need a nonsingular form")
     g = [list(r) for r in f.gram]
@@ -365,14 +371,16 @@ class Parametrization:
     """A degree-2 map from the projective line onto a conic.
 
     ``coeffs[i]`` holds (alpha, beta, gamma) with
-    X_i(s, t) = alpha s^2 + beta s t + gamma t^2.
+    X_i(s, t) = alpha s^2 + beta s t + gamma t^2; ``base`` is the point p
+    of the conic whose lines give the map.
     """
 
-    __slots__ = ("form", "coeffs")
+    __slots__ = ("form", "coeffs", "base")
 
-    def __init__(self, form: TernaryForm, coeffs):
+    def __init__(self, form: TernaryForm, coeffs, base):
         self.form = form
         self.coeffs = coeffs
+        self.base = tuple(base)
 
     def apply(self, s: Coord, t: Coord) -> tuple:
         out = []
@@ -441,7 +449,7 @@ def parametrize(f: TernaryForm, point: Sequence[Coord]) -> Parametrization:
             raise InternalInconsistency("parametrization does not satisfy the form")
     if all(_is_zero_val(c) for triple in coeffs for c in triple):
         raise InternalInconsistency("degenerate parametrization")
-    return Parametrization(f, tuple(coeffs))
+    return Parametrization(f, tuple(coeffs), p)
 
 
 def _is_zero_val(v) -> bool:

@@ -23,7 +23,7 @@ from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
 from .intmath import squarefree_part
-from .linalg import cross, det, proportional
+from .linalg import cross, det, mat_vec, proportional
 from .projline import Mobius, ProjPoint, mobius_from_triples, \
     mobius_order_and_fixed, zero_point
 from .qfield import FieldElem, FieldTower, galois_group, tower_extend
@@ -85,7 +85,8 @@ class DoubleCoverData:
         t = points[0].tower
         nu_inv = self.nu.embed(t).inverse()
         par = Parametrization(self.parametrization.form, [
-            tuple(map(t.embed, c)) for c in self.parametrization.coeffs])
+            tuple(map(t.embed, c)) for c in self.parametrization.coeffs],
+            map(t.embed, self.parametrization.base))
         return [par.apply(*nu_inv.image(z.x * z.x, z.y * z.y))
                 for z in points]
 
@@ -120,37 +121,23 @@ class Deg6Form:
 def _param_of_point(par: Parametrization, pt: Sequence) -> ProjPoint:
     """The parameter (s : t) whose image is proportional to pt.
 
-    The cross equation X_i(s,t) pt_j - X_j(s,t) pt_i is quadratic with the
-    true parameter as one root; candidates are verified by evaluation.
+    With p the base point, lead its first nonzero index and o0 < o1 the
+    others, X(s, t) = f(v) p - 2 B(p, v) v for v = s e_o0 + t e_o1, so
+    p_lead pt_o - pt_lead p_o is linear in (s, t) for pt not ~ p; pt ~ p
+    has the tangent's parameter, B(p, v) = 0. Verified by evaluation.
     """
-    tower = pt[0].tower
-    zero, one = tower.zero(), tower.one()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ai, bi, ci = par.coeffs[i]
-            aj, bj, cj = par.coeffs[j]
-            qa = ai * pt[j] - aj * pt[i]
-            qb = bi * pt[j] - bj * pt[i]
-            qc = ci * pt[j] - cj * pt[i]
-            roots = []
-            if not qa.is_zero():
-                disc = qb * qb - qa * qc * 4
-                sq = disc.sqrt()
-                if sq is None:
-                    continue
-                inv = (qa * 2).inverse()
-                roots = [ProjPoint((sq - qb) * inv, one),
-                         ProjPoint((-sq - qb) * inv, one)]
-            elif not qb.is_zero():
-                roots = [ProjPoint(one, zero), ProjPoint(-qc, qb)]
-            elif not qc.is_zero():
-                roots = [ProjPoint(one, zero)]
-            else:
-                continue
-            for r in roots:
-                if proportional(par.apply(r.x, r.y), pt):
-                    return r
-    raise InternalInconsistency("point is not in the parametrized image")
+    p = par.base
+    lead = next(i for i in range(3) if p[i])
+    o0, o1 = (i for i in range(3) if i != lead)
+    s = pt[o0] * p[lead] - pt[lead] * p[o0]
+    t = pt[o1] * p[lead] - pt[lead] * p[o1]
+    if not (s or t):
+        gp = mat_vec(par.form.gram, pt)
+        s, t = gp[o1], -gp[o0]
+    r = ProjPoint(s, t)
+    if not proportional(par.apply(r.x, r.y), pt):
+        raise InternalInconsistency("point is not in the parametrized image")
+    return r
 
 
 def _mu_value(par: Parametrization, nu: Mobius, pt: Sequence) -> ProjPoint:
@@ -207,20 +194,25 @@ def line_section_divisor(form: TernaryForm, line: Sequence[Fraction]
     return tower, tuple(pts)
 
 
+def _normalised(v: Sequence) -> tuple | None:
+    """v divided by its first nonzero coordinate, None for v = 0: nonzero
+    vectors are proportional exactly when these are equal."""
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return None
+    inv = lead.inverse()
+    return tuple(c * inv for c in v)
+
+
 def _rational_line_through(p: Sequence, q: Sequence) -> tuple:
     """The line through two conjugate points, verified rational."""
-    line = cross(p, q)
-    lead = next((v for v in line if v), None)
-    if lead is None:
+    line = _normalised(cross(p, q))
+    if line is None:
         raise InternalInconsistency("points coincide; no unique line")
-    inv = lead.inverse()
-    out = []
-    for v in (x * inv for x in line):
-        if not v.is_rational():
-            raise InternalInconsistency("chord of a conjugate pair must be "
-                                        "rational")
-        out.append(v.as_fraction())
-    return tuple(out)
+    if not all(v.is_rational() for v in line):
+        raise InternalInconsistency("chord of a conjugate pair must be "
+                                    "rational")
+    return tuple(v.as_fraction() for v in line)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +277,7 @@ def gen_counterexample(spec: CounterexampleSpec,
     tp = _param_of_point(par, p0)
     tpb = _param_of_point(par, pbar)
     nu = Mobius(tp.y, -tp.x, tpb.y, -tpb.x)
-    nu = _normalize_twist(par, nu, sig, a, b, ta)
+    nu = _normalize_twist(par, nu, sig, a, b, alpha)
 
     pairs = n // 4 if n % 4 == 0 else (n - 2) // 4
     include_ram = n % 4 == 2
@@ -324,17 +316,19 @@ def gen_counterexample(spec: CounterexampleSpec,
     raise RetriesExhausted(f"no generic draw after {max_retries} attempts")
 
 
-def _normalize_twist(par, nu, sig, a, b, ta):
+def _normalize_twist(par, nu, sig, a, b, alpha):
     """Rescale nu so that conjugating the coordinate gives w -> b/w.
 
     The mismatch factor is a norm from Q(sqrt a) precisely because the
     parametrized conic represents the same symbol class as (a, b); the
     norm equation is solved by find_point.
     """
+    ta = alpha.tower
     wt = ta.from_rational(7)
-    et = par.apply(*_affine_params(nu, wt))
+    et = par.apply(*nu.inverse().image(wt, ta.one()))
     et_bar = tuple(sig(c) for c in et)
-    m2 = _mu_value(par, nu, et_bar)
+    r_bar = _param_of_point(par, et_bar)
+    m2 = nu.apply(r_bar)
     if m2.is_infinity():
         raise InternalInconsistency("test point hit the ramification")
     theta = sig(m2.affine()) * wt
@@ -346,18 +340,12 @@ def _normalize_twist(par, nu, sig, a, b, ta):
         raise InternalInconsistency("twist normalization norm equation "
                                     "unsolvable")
     x, y, z = point
-    c = ta.from_rational(F(x, z)) + ta.from_rational(a).sqrt() * F(y, z)
+    c = ta.from_rational(F(x, z)) + alpha * F(y, z)
     nu2 = Mobius.scaling(c).compose(nu)
-    m2b = _mu_value(par, nu2, et_bar)
-    check = sig(m2b.affine()) * _mu_value(par, nu2, et).affine()
+    check = sig(nu2.apply(r_bar).affine()) * _mu_value(par, nu2, et).affine()
     if check != ta.from_rational(b):
         raise InternalInconsistency("twist normalization failed")
     return nu2
-
-
-def _affine_params(nu: Mobius, w: FieldElem) -> tuple:
-    pt = nu.inverse().apply(ProjPoint.finite(w))
-    return pt.x, pt.y
 
 
 def _draw_pairs(rng, pairs, a, b):
@@ -407,10 +395,13 @@ def _assemble_sections(conic, par, nu, sig, ta, alpha, a, b, rads, cs,
     if include_ram:
         ram_line = _rational_line_through(p0, pbar)
         sections.append((ram_line, (p0, pbar)))
+    nu_inv = nu.inverse()
     for r, (u, v) in zip(rads, cs):
         c = ta.from_rational(u) + alpha * v
         w = c * c * r
-        e = par.apply(*_affine_params(nu, w))
+        # a normalised parameter: the scale of e reaches the report
+        rw = nu_inv.apply(ProjPoint.finite(w))
+        e = par.apply(rw.x, rw.y)
         ebar = tuple(sig(x) for x in e)
         line = _rational_line_through(e, ebar)
         tower, pts = line_section_divisor(conic, line)
@@ -437,17 +428,15 @@ def _check_bookkeeping(spec, sections, divisor, include_ram):
 
 
 def _check_cover(data: DoubleCoverData, big: FieldTower):
-    e_img = [tuple(big.embed(c) for c in pt) for pt in data.section_points]
+    e_img = {_normalised(tuple(map(big.embed, pt)))
+             for pt in data.section_points}
     *images, over_p, over_pbar = data.cover(
         [*data.divisor.points, ProjPoint.finite(big.zero()),
          ProjPoint.infinity(big)])
-    for img in images:
-        if not any(proportional(img, e) for e in e_img):
-            raise InternalInconsistency("divisor point does not lie over E")
-    p_img = tuple(big.embed(c) for c in data.p)
-    pbar_img = tuple(big.embed(c) for c in data.pbar)
-    if not (proportional(over_p, p_img)
-            and proportional(over_pbar, pbar_img)):
+    if not all(_normalised(img) in e_img for img in images):
+        raise InternalInconsistency("divisor point does not lie over E")
+    if not (proportional(over_p, tuple(map(big.embed, data.p)))
+            and proportional(over_pbar, tuple(map(big.embed, data.pbar)))):
         raise InternalInconsistency("cover must ramify exactly over the "
                                     "conjugate pair")
 

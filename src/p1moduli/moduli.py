@@ -432,19 +432,21 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
 def _assert_cocycle(group: GaloisGroup, gens: list[int],
                     psi: dict[int, Mobius]) -> None:
     """Assert psi_st = psi_s s(psi_t) up to scale for s in ``gens`` and
-    every t, comparing the unnormalised product with psi_st.
+    every t, comparing the unnormalised product u with psi_st.
 
     With ``gens`` generating the group this is as strong as checking
     every pair: the pairs (s, 1) give psi_1 = 1, and if the identity holds
     for g it holds for sg, as psi_{sgt} = psi_s s(psi_g g(psi_t)) =
-    psi_{sg} sg(psi_t), all in PGL2.
+    psi_{sg} sg(psi_t), all in PGL2. The first nonzero entry of the
+    Mobius map psi_st is 1, so u ~ psi_st says u = u[lead] psi_st.
     """
     for s in gens:
         sigma, ps = group.elements[s], _matrix(psi[s], group.tower)
         for t, pt in psi.items():
             prod = mat_mul(ps, mat_map(sigma, _matrix(pt, group.tower)))
-            if not proportional(prod[0] + prod[1],
-                                psi[group.table[s][t]].entries()):
+            u, target = prod[0] + prod[1], psi[group.table[s][t]].entries()
+            lam = u[next(j for j in range(4) if target[j])]
+            if not lam or any(x != lam * y for x, y in zip(u, target)):
                 raise InternalInconsistency("1-cocycle identity fails for psi")
 
 

@@ -385,7 +385,8 @@ class FieldElem:
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: Scalar) -> "FieldElem":
-        o = self._coerce(other)
+        o = (other if other.__class__ is FieldElem
+             and other.tower is self.tower else self._coerce(other))
         if not any(o.num):
             return self
         if not any(self.num):
@@ -400,7 +401,13 @@ class FieldElem:
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "FieldElem":
-        return self + (-self._coerce(other))
+        o = (other if other.__class__ is FieldElem
+             and other.tower is self.tower else self._coerce(other))
+        if not any(o.num):
+            return self
+        return self._make(self.tower, [p * o.den - q * self.den
+                                       for p, q in zip(self.num, o.num)],
+                          self.den * o.den)
 
     def __rsub__(self, other: Scalar) -> "FieldElem":
         return self._coerce(other) + (-self)
@@ -409,7 +416,8 @@ class FieldElem:
         return FieldElem(self.tower, tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other: Scalar) -> "FieldElem":
-        x, r = self, self._coerce(other)
+        x, r = self, (other if other.__class__ is FieldElem
+                      and other.tower is self.tower else self._coerce(other))
         if any(r.num[1:]):
             if any(x.num[1:]):
                 table, tden = r.tower._mult()

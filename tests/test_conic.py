@@ -83,6 +83,36 @@ def test_diagonalize_random_congruence():
                           for j, x in enumerate((a, b, c))] for i in range(3)]
 
 
+def test_diagonalize_squarefree_diagonal_forms():
+    # a diagonal form with squarefree integer entries comes back as
+    # (entries, I); the general path gives the same coefficients for
+    # 4 f, with B = I / 2, and the same (entries, I) for f itself
+    rng = random.Random(20261019)
+    for _ in range(20):
+        entries = tuple(random_squarefree(rng, 1, 60) for _ in range(3))
+        coeffs, basis = diagonalize(TernaryForm.diagonal(*entries))
+        assert coeffs == entries and all(type(c) is int for c in coeffs)
+        assert basis == linalg.identity(3)
+        assert all(type(x) is F for row in basis for x in row)
+        coeffs4, basis4 = diagonalize(TernaryForm.diagonal(
+            *(4 * e for e in entries)))
+        assert coeffs4 == entries
+        assert [[2 * x for x in row] for row in basis4] == basis
+
+
+def test_diagonalize_rescales_other_diagonal_forms():
+    for entries, want in (((1, 1, -8), (1, 1, -2)),
+                          ((F(1, 2), 3, F(-5, 9)), (2, 3, -5)),
+                          ((12, F(7, 3), -1), (3, 21, -1))):
+        f = TernaryForm.diagonal(*entries)
+        coeffs, basis = diagonalize(f)
+        assert coeffs == want
+        check = linalg.mat_mul(linalg.mat_mul(linalg.transpose(basis),
+                                              [list(r) for r in f.gram]), basis)
+        assert check == [[F(x) if i == j else F(0)
+                          for j, x in enumerate(want)] for i in range(3)]
+
+
 def test_diagonalize_rejects_singular():
     with pytest.raises(SingularForm):
         diagonalize(TernaryForm.diagonal(1, 1, 0))

@@ -1,11 +1,13 @@
 """Generator, sections, normal forms, and hyperelliptic reporting."""
 
 import functools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from p1moduli.conic import INFINITE_PLACE, TernaryForm, hilbert_symbol
+from p1moduli.conic import (
+    INFINITE_PLACE, TernaryForm, hilbert_symbol, parametrize)
 from p1moduli import construct
 from p1moduli.construct import (
     CounterexampleSpec, Deg6Form, check_self_centralizing, deg6_normal_form,
@@ -14,10 +16,11 @@ from p1moduli.construct import (
 from p1moduli.decide import NOT_DEFINED, decide
 from p1moduli.divisor import Divisor, compute_aut
 from p1moduli.errors import (
-    BadDegree, GenusTooSmall, HypothesesNotMet, NotAnInvolution,
-    SplitSymbol, TangentLine)
+    BadDegree, GenusTooSmall, HypothesesNotMet, InternalInconsistency,
+    NotAnInvolution, SplitSymbol, TangentLine)
+from p1moduli.linalg import proportional
 from p1moduli.projline import Mobius, ProjPoint
-from p1moduli.qfield import FieldTower, multiquadratic_tower
+from p1moduli.qfield import FieldElem, FieldTower, multiquadratic_tower
 
 QQ = FieldTower()
 
@@ -186,6 +189,167 @@ def test_generator_redraws_only_on_repeated_points(monkeypatch):
     with pytest.raises(ValueError, match="different towers"):
         gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1),
                            max_retries=3)
+
+
+# ---------------------------------------------------------------------------
+# the generator's own checks, each fed a spoiled input
+# ---------------------------------------------------------------------------
+
+def respoiled(data, **changes):
+    """A copy of the cover data with some fields replaced."""
+    fields = {k: getattr(data, k) for k in construct.DoubleCoverData.__slots__}
+    fields.update(changes)
+    return construct.DoubleCoverData(**fields)
+
+
+def test_check_cover_accepts_the_generated_cover():
+    data, _ = minus_one_eight()
+    construct._check_cover(data, data.divisor.tower)
+
+
+def test_check_cover_refuses_a_point_off_e():
+    data, _ = minus_one_eight()
+    big = data.divisor.tower
+    moved = [ProjPoint.finite(data.divisor.points[0].x + 1),
+             *data.divisor.points[1:]]
+    with pytest.raises(InternalInconsistency,
+                       match="divisor point does not lie over E"):
+        construct._check_cover(respoiled(data, divisor=Divisor(moved)), big)
+
+
+def test_check_cover_refuses_other_ramification():
+    data, _ = minus_one_eight()
+    with pytest.raises(InternalInconsistency,
+                       match="cover must ramify exactly over the conjugate"):
+        construct._check_cover(respoiled(data, p=data.pbar, pbar=data.p),
+                               data.divisor.tower)
+
+
+def spoil_call(monkeypatch, name, spoiler):
+    """Run the seed-1 (-1, -1, 8) generator once to count the calls of
+    construct.<name>, then patch it so that its last call returns a
+    spoiled value."""
+    real = getattr(construct, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, name, counted)
+    gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
+    clean = len(calls)
+    calls.clear()
+
+    def spoiled(*args):
+        calls.append(args)
+        out = real(*args)
+        return spoiler(out) if len(calls) == clean else out
+
+    monkeypatch.setattr(construct, name, spoiled)
+
+
+def double(m):
+    return ProjPoint(m.x * 2, m.y)
+
+
+def test_spoiled_line_section_is_refused(monkeypatch):
+    # the last section's second point is swapped for a conic point off
+    # the chosen pair: (x : y : z) -> (y : x : z) stays on x^2 + y^2 + z^2
+    def swap(out):
+        tower, (q0, (x, y, z)) = out
+        return tower, (q0, (y, x, z))
+
+    spoil_call(monkeypatch, "line_section_divisor", swap)
+    with pytest.raises(InternalInconsistency,
+                       match="line section does not recover the chosen pair"):
+        gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
+
+
+def test_spoiled_conjugate_parameter_is_refused(monkeypatch):
+    # the last _mu_value call is the conjugate parameter of the last pair
+    spoil_call(monkeypatch, "_mu_value", double)
+    with pytest.raises(InternalInconsistency,
+                       match="conjugate parameter value is off"):
+        gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
+
+
+def test_spoiled_twist_normalization_is_refused(monkeypatch):
+    # the norm equation's solution (x : y : z) gives the rescaling factor
+    # c = (x + y sqrt a)/z; halving c divides the checked product
+    # s(w(et_bar)) w(et) = b by N(2) = 4
+    spoil_call(monkeypatch, "find_point", lambda pt: (pt[0], pt[1], 2 * pt[2]))
+    with pytest.raises(InternalInconsistency,
+                       match="twist normalization failed"):
+        gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=1))
+
+
+def test_param_of_point_refuses_a_point_off_the_conic():
+    data, _ = minus_one_eight()
+    t = data.p[0].tower
+    with pytest.raises(InternalInconsistency,
+                       match="point is not in the parametrized image"):
+        construct._param_of_point(data.parametrization,
+                                  (t.one(), t.one(), t.one()))
+
+
+# ---------------------------------------------------------------------------
+# parameters of conic points
+# ---------------------------------------------------------------------------
+
+def param_cases():
+    """(form, base point) pairs over Q(sqrt -1) and Q(sqrt -1, sqrt 2),
+    with the base point's first nonzero coordinate at 0, 1 and 2."""
+    cases = []
+    for t in (multiquadratic_tower([-1]), multiquadratic_tower([-1, 2])):
+        i, one, zero = t.root(0), t.one(), t.zero()
+        unit = TernaryForm.diagonal(1, 1, 1)
+        hyperbolic = TernaryForm([[0, 0, F(1, 2)], [0, -1, 0],
+                                  [F(1, 2), 0, 0]])  # x z - y^2
+        cases += [(t, unit, (one, i, zero)),
+                  (t, unit, (zero, i * 3, one * 3)),
+                  (t, hyperbolic, (zero, zero, i + 2)),
+                  (t, TernaryForm.diagonal(-1, -1, -1), (one, zero, i))]
+    return cases
+
+
+def tangent_parameter(form, p):
+    """(B(p, e_o1) : -B(p, e_o0)), the parameter whose line through p is
+    the tangent there, for o0 < o1 the indices past p's first nonzero one."""
+    lead = next(k for k in range(3) if p[k])
+    o0, o1 = (k for k in range(3) if k != lead)
+    e = [[F(int(k == j)) for k in range(3)] for j in range(3)]
+    return ProjPoint(form.polar(p, e[o1]), -form.polar(p, e[o0]))
+
+
+@pytest.mark.parametrize("t, form, base", param_cases(),
+                         ids=[f"L{t.level}-{k % 4}"
+                              for k, (t, _, _) in enumerate(param_cases())])
+def test_param_of_point_inverts_the_parametrization(monkeypatch, t, form,
+                                                   base):
+    assert form.evaluate(base) == 0
+    par = parametrize(form, base)
+    rng = random.Random(f"params:{t.level}:{form.gram}:{base}")
+    rs = [ProjPoint.infinity(t), ProjPoint.finite(t.zero()),
+          tangent_parameter(form, base)]
+    while len(rs) < 15:
+        x = t.element([F(rng.randint(-5, 5), rng.randint(1, 3))
+                       for _ in range(t.degree)])
+        rs.append(ProjPoint.finite(x))
+    assert proportional(par.apply(rs[2].x, rs[2].y), base)
+    real_sqrt, roots = FieldElem.sqrt, []
+    monkeypatch.setattr(FieldElem, "sqrt",
+                        lambda x: roots.append(x) or real_sqrt(x))
+    scale = t.root(0) + 2
+    for r in rs:
+        image = par.apply(r.x, r.y)
+        assert construct._param_of_point(par, image) == r
+        assert construct._param_of_point(
+            par, tuple(c * scale for c in image)) == r
+    # the base point itself, scaled, is the tangent's parameter
+    assert construct._param_of_point(
+        par, tuple(c * 5 for c in base)) == rs[2]
+    assert roots == []
 
 
 # ---------------------------------------------------------------------------

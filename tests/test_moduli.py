@@ -378,6 +378,45 @@ def test_compression_cocycle_checks_reach_non_generators(
     assert len(calls) == h2.order
 
 
+def flip_sign(psi: Mobius, j: int) -> Mobius:
+    entries = list(psi.entries())
+    entries[j] = -entries[j]
+    return Mobius(*entries)
+
+
+@pytest.mark.parametrize("make", [biquadratic_five_points,
+                                  counterexample_eight])
+def test_assert_cocycle_refuses_a_sign_flip(make):
+    # psi_k with one non-lead entry negated is another map; every pair
+    # with k as its target then has a product that differs from psi_k by
+    # that sign only, and the lead-entry comparison must see it
+    d = make()
+    comp = compression(d, field_of_moduli(d))
+    h2 = comp.h2_group
+    gens = h2.generators(range(h2.order)) or [0]
+    moduli._assert_cocycle(h2, gens, comp.psi)
+    for k in range(1, h2.order):
+        nonzero = [j for j, e in enumerate(comp.psi[k].entries()) if e]
+        spoiled = dict(comp.psi)
+        spoiled[k] = flip_sign(comp.psi[k], nonzero[-1])
+        with pytest.raises(InternalInconsistency,
+                           match="1-cocycle identity fails for psi"):
+            moduli._assert_cocycle(h2, gens, spoiled)
+
+
+def test_assert_cocycle_on_the_trivial_group():
+    # over Q the one pair is (1, 1): psi_1 = psi_1 psi_1 up to scale
+    group = galois_group(QQ)
+    check = functools.partial(moduli._assert_cocycle, group, [0])
+    check({0: Mobius.identity(QQ)})
+    # the product I differs from diag(1, -1) only in the sign of d
+    with pytest.raises(InternalInconsistency, match="1-cocycle identity"):
+        check({0: Mobius.from_rationals(QQ, 1, 0, 0, -1)})
+    # [[1, 1], [-1, 0]]^2 = [[0, 1], [-1, -1]] has a zero lead entry
+    with pytest.raises(InternalInconsistency, match="1-cocycle identity"):
+        check({0: Mobius.from_rationals(QQ, 1, 1, -1, 0)})
+
+
 @pytest.mark.parametrize("tower", [
     multiquadratic_tower([2, -3]),
     tower_extend(multiquadratic_tower([2]),

@@ -567,6 +567,45 @@ def test_equal_values_by_different_routes():
         assert hash(half) == hash(t.from_rational(F(1, 2)))
 
 
+def test_subtraction_is_adding_the_negative():
+    # x - y subtracts directly; it must agree with x + (-y) in value and
+    # in reduced representation, zero and rational operands included
+    rng = random.Random(20261019)
+    for level in range(4):
+        t = random_tower(rng, level)
+        elems = [t.zero(), t.one(), t.from_rational(F(-3, 4)),
+                 t.from_rational(F(6))]
+        elems += [random_element(t, rng) for _ in range(6)]
+        elems += [x * F(1, 2) for x in elems[4:]]
+        for x in elems:
+            for y in elems + [F(2, 3), 5]:
+                neg = -(y if isinstance(y, FieldElem)
+                        else t.from_rational(F(y)))
+                got, want = x - y, x + neg
+                assert got == want
+                assert (got.num, got.den) == (want.num, want.den)
+            assert (x - x).is_zero()
+
+
+def test_arithmetic_across_towers():
+    # operands of different towers are refused; equal towers built twice
+    # are distinct objects and still combine
+    a, b = multiquadratic_tower([2, 3]), multiquadratic_tower([2, 5])
+    a2 = multiquadratic_tower([2, 3])
+    assert a2 == a and a2 is not a
+    x, y, x2 = a.root(1) + 1, b.root(1) + 1, a2.root(1) * 2
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v):
+        with pytest.raises(ValueError, match="different towers"):
+            op(x, y)
+        with pytest.raises(ValueError, match="different towers"):
+            op(y, x)
+    assert x + x2 == a.root(1) * 3 + 1
+    assert x - x2 == a.one() - a.root(1)
+    assert x * x2 == a.root(1) * 2 + 6
+    assert x2 - x == a.root(1) - 1
+
+
 def test_coords_are_fractions():
     t = _irrational_tower()
     x = t.element([F(1, 2), 3, 0, F(-5, 6), 1, 0, 0, 2])
