@@ -10,7 +10,8 @@ until a unit coefficient appears. Each step keeps the equation's
 solvability, since B (w^2 - A)/B is a norm from Q(sqrt A), and shrinks
 |B|, so the descent alone also decides solvability: it meets a
 non-residue or x^2 = -y^2 - z^2 exactly when the conic has no point.
-There is no search fallback. All arithmetic is exact.
+There is no search fallback. All arithmetic is exact. A form is
+diagonalised once, fraction-free over the integers.
 """
 
 from __future__ import annotations
@@ -42,15 +43,17 @@ Coord = Union[Fraction, "object"]  # Fraction or FieldElem-like
 
 
 class TernaryForm:
-    """A symmetric 3x3 rational Gram matrix, viewed as a plane conic."""
+    """A symmetric 3x3 rational Gram matrix, viewed as a plane conic;
+    ``_diag`` is filled by ``diagonalize`` alone, once it is verified."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "_diag")
 
     def __init__(self, gram: Sequence[Sequence[Fraction]]):
         g = [[Fraction(gram[i][j]) for j in range(3)] for i in range(3)]
         if g != linalg.transpose(g):
             raise ValueError("Gram matrix must be symmetric")
         self.gram = tuple(tuple(row) for row in g)
+        self._diag = None
 
     @staticmethod
     def diagonal(a, b, c) -> "TernaryForm":
@@ -62,15 +65,13 @@ class TernaryForm:
     def det(self) -> Fraction:
         return linalg.det(self.gram)
 
-    def is_nonsingular(self) -> bool:
-        return self.det() != 0
-
     def evaluate(self, point: Sequence[Coord]):
         return self.polar(point, point)
 
     def polar(self, p: Sequence[Coord], q: Sequence[Coord]):
-        """The symmetric bilinear form B(p, q) = p^T G q, so B(x, x) = f(x)."""
-        return linalg.dot(p, linalg.mat_vec(self.gram, q))
+        """The symmetric bilinear form B(p, q) = p^T G q, so B(x, x) = f(x).
+        Each coordinate is the left factor, so no Fraction operator runs."""
+        return linalg.dot(p, [linalg.dot(q, row) for row in self.gram])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TernaryForm) and self.gram == other.gram
@@ -108,32 +109,67 @@ class PlaceEval:
 # diagonalization
 # ---------------------------------------------------------------------------
 
-def _col_addmul(g, b, dst: int, src: int, r: Fraction) -> None:
-    # congruence x_dst -> x_dst + r x_src: add r * (row/col src) into dst
-    for k in range(3):
-        g[k][dst] += r * g[k][src]
-    for k in range(3):
-        g[dst][k] += r * g[src][k]
-    for k in range(3):
-        b[k][dst] += r * b[k][src]
+def _col_op(g, b, dst: int, s: int, src: int, r: int) -> None:
+    # congruence x_dst -> s x_dst + r x_src on the integer Gram matrix g
+    for row in g + b:
+        row[dst] = s * row[dst] + r * row[src]
+    g[dst] = [s * x + r * y for x, y in zip(g[dst], g[src])]
 
 
-def _col_swap(g, b, i: int, j: int) -> None:
+def _diagonalize(f: TernaryForm
+                 ) -> tuple[tuple[int, int, int], linalg.Matrix]:
+    """``diagonalize`` run on the Gram matrix cleared to integers by one
+    lcm L, fraction-free. Column k of the integer basis is scale[k] > 0
+    times the column of the rational elimination with unit steps, so the
+    zero-pivot sum x_i + x_j weighs each column by the other's scale. The
+    rational pivot is d = g_kk / (L scale[k]^2), and column k ends as
+    b_k sqrt(squarefree(d) / d) / scale[k]: the rational result exactly.
+    """
+    gram = f.gram
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    gint = [[x.numerator * (den // x.denominator) for x in row]
+            for row in gram]
+    if not linalg.det(gint):
+        raise SingularForm("conic operations need a nonsingular form")
+    g = [row[:] for row in gint]
+    b = [[int(i == j) for j in range(3)] for i in range(3)]
+    scale = [1, 1, 1]
+    for i in range(3):
+        if g[i][i] == 0:
+            j = next((j for j in range(i + 1, 3) if g[j][j] != 0), None)
+            if j is not None:
+                for row in g + b:
+                    row[i], row[j] = row[j], row[i]
+                g[i], g[j] = g[j], g[i]
+                scale[i], scale[j] = scale[j], scale[i]
+            else:
+                j = next(j for j in range(i + 1, 3) if g[i][j] != 0)
+                _col_op(g, b, i, scale[j], j, scale[i])
+                scale[i] *= scale[j]
+        p = g[i][i]
+        for j in range(i + 1, 3):
+            if g[i][j] != 0:  # x_j -> |p| x_j - sgn(p) g_ij x_i
+                _col_op(g, b, j, abs(p), i, -g[i][j] if p > 0 else g[i][j])
+                scale[j] *= abs(p)
+    coeffs, cols = [], []
     for k in range(3):
-        g[k][i], g[k][j] = g[k][j], g[k][i]
-    for k in range(3):
-        g[i][k], g[j][k] = g[j][k], g[i][k]
-    for k in range(3):
-        b[k][i], b[k][j] = b[k][j], b[k][i]
-
-
-def _col_scale(g, b, i: int, r: Fraction) -> None:
-    for k in range(3):
-        g[k][i] *= r
-    for k in range(3):
-        g[i][k] *= r
-    for k in range(3):
-        b[k][i] *= r
+        d = Fraction(g[k][k], den * scale[k] ** 2)
+        target = squarefree_part(d)
+        r = fraction_sqrt(Fraction(target) / d)
+        if r is None:
+            raise InternalInconsistency("squarefree rescale failed")
+        coeffs.append(target)
+        cols.append((r.numerator, r.denominator * scale[k]))
+    basis = [[Fraction(x * p, q) for x, (p, q) in zip(row, cols)]
+             for row in b]
+    # B^T G B = diag(coeffs), cleared to integers: B = Bi / s, G = Gi / L
+    s = math.lcm(*(x.denominator for row in basis for x in row))
+    bi = [[x.numerator * (s // x.denominator) for x in row] for row in basis]
+    check = linalg.mat_mul(linalg.mat_mul(linalg.transpose(bi), gint), bi)
+    if check != [[coeffs[i] * den * s * s if i == j else 0
+                  for j in range(3)] for i in range(3)]:
+        raise InternalInconsistency("congruence verification failed")
+    return tuple(coeffs), basis
 
 
 def diagonalize(f: TernaryForm) -> tuple[tuple[int, int, int], linalg.Matrix]:
@@ -141,43 +177,13 @@ def diagonalize(f: TernaryForm) -> tuple[tuple[int, int, int], linalg.Matrix]:
 
     Returns (coefficients, B) with B^T G B = diag(coefficients); points
     of the diagonal conic map to points of f through B. A form that is
-    already diagonal with squarefree integer entries has B = I.
+    already diagonal with squarefree integer entries has B = I. Each
+    form is diagonalised once; later calls return copies of its result.
     """
-    (d0, _, _), (u, d1, _), (v, w, d2) = f.gram
-    diag = (d0, d1, d2)
-    if not (u or v or w) and all(d and d.denominator == 1
-                                 and squarefree_part(d) == d for d in diag):
-        return tuple(map(int, diag)), linalg.identity(3)
-    if not f.is_nonsingular():
-        raise SingularForm("conic operations need a nonsingular form")
-    g = [list(r) for r in f.gram]
-    b = [list(r) for r in linalg.identity(3)]
-    for i in range(3):
-        if g[i][i] == 0:
-            swap = next((j for j in range(i + 1, 3) if g[j][j] != 0), None)
-            if swap is not None:
-                _col_swap(g, b, i, swap)
-            else:
-                j = next(j for j in range(i + 1, 3) if g[i][j] != 0)
-                _col_addmul(g, b, i, j, Fraction(1))
-        for j in range(i + 1, 3):
-            if g[i][j] != 0:
-                _col_addmul(g, b, j, i, -g[i][j] / g[i][i])
-    coeffs = []
-    for i in range(3):
-        d = g[i][i]
-        target = squarefree_part(d)
-        r = fraction_sqrt(Fraction(target) / d)
-        if r is None:
-            raise InternalInconsistency("squarefree rescale failed")
-        _col_scale(g, b, i, r)
-        coeffs.append(target)
-    check = linalg.mat_mul(linalg.mat_mul(linalg.transpose(b),
-                                          [list(r) for r in f.gram]), b)
-    if check != [[Fraction(coeffs[i]) if i == j else Fraction(0)
-                  for j in range(3)] for i in range(3)]:
-        raise InternalInconsistency("congruence verification failed")
-    return (coeffs[0], coeffs[1], coeffs[2]), b
+    if f._diag is None:
+        f._diag = _diagonalize(f)
+    coeffs, b = f._diag
+    return coeffs, [list(r) for r in b]
 
 
 # ---------------------------------------------------------------------------

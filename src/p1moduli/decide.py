@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
@@ -309,13 +310,12 @@ def _find_invertible(p, sigma, tower):
     trials = [[[one, zero], [zero, one]],
               [[root, zero], [zero, root]],
               [[root, one], [zero, one]]]
-    for _ in range(16):
-        # probe with full tower coordinates; rational entries alone can
-        # land in the kernel of the averaging
-        trials.append([[tower.element([rng.randint(-5, 5)
-                                       for _ in range(tower.degree)])
-                        for _ in range(2)] for _ in range(2)])
-    for a in trials:
+    # probe with full tower coordinates, drawn only when reached; rational
+    # entries alone can land in the kernel of the averaging
+    randoms = ([[tower.element([rng.randint(-5, 5)
+                                for _ in range(tower.degree)])
+                 for _ in range(2)] for _ in range(2)] for _ in range(16))
+    for a in chain(trials, randoms):
         b = mat_add(a, mat_mul(p, mat_map(sigma, a)))
         if det(b):
             return b

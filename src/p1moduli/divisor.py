@@ -117,30 +117,35 @@ class GroupTag:
 class AutGroup:
     """A finite group of Mobius transformations with its multiplication
     table, canonical element order (identity first) and classification.
-    ``index`` maps each (canonically scaled) element to its position."""
+    ``index`` maps each (canonically scaled) element to its position.
 
-    __slots__ = ("elements", "tower", "table", "orders", "tag", "index")
+    Built from the Aut scan's (map, perm) pairs, perm[k] the index in D
+    of map(p_k), kept in element order as ``perms``. The table composes
+    permutations, not maps: a Mobius map is fixed by three points, so for
+    n >= 3 a permutation of D identifies its element."""
 
-    def __init__(self, elements: Iterable[Mobius]):
-        elems = list(elements)
-        tower = elems[0].tower
-        idn = [e for e in elems if e.is_identity()]
-        rest = sorted((e for e in elems if not e.is_identity()),
-                      key=_mobius_key)
+    __slots__ = ("elements", "perms", "tower", "table", "orders", "tag",
+                 "index")
+
+    def __init__(self, pairs: Iterable[tuple[Mobius, tuple]]):
+        pairs = list(pairs)
+        idn = [pr for pr in pairs if pr[0].is_identity()]
+        rest = sorted((pr for pr in pairs if not pr[0].is_identity()),
+                      key=lambda pr: _mobius_key(pr[0]))
         if len(idn) != 1:
             raise InternalInconsistency("group must contain the identity once")
-        self.elements = tuple(idn + rest)
-        self.tower = tower
+        self.elements, self.perms = zip(*(idn + rest))
+        self.tower = self.elements[0].tower
         self.index = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
-        self.table = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                k = self.index.get(a.compose(b))
-                if k is None:
-                    raise InternalInconsistency("set not closed under composition")
-                self.table[i][j] = k
-        self.orders = [self._order_from_table(i) for i in range(n)]
+        pos = {q: i for i, q in enumerate(self.perms)}
+        self.table = []
+        for pa in self.perms:  # (a o b)(p_k) = p_{pa[pb[k]]}
+            self.table.append([pos.get(tuple(pa[k] for k in pb))
+                               for pb in self.perms])
+            if None in self.table[-1]:
+                raise InternalInconsistency("set not closed under composition")
+        self.orders = [self._order_from_table(i)
+                       for i in range(len(self.table))]
         self.tag = _classify(self)
 
     def _order_from_table(self, i: int) -> int:
@@ -333,8 +338,8 @@ class TripleTable:
         pts = d.points
         self.divisor = d
         self.mods = []
-        self.aut = AutGroup(m for m, _ in _matches(
-            pts, (0, 1, 2), pts, self.mods, self.mods))
+        self.aut = AutGroup(_matches(pts, (0, 1, 2), pts, self.mods,
+                                     self.mods))
 
     def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
         """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with

@@ -171,14 +171,12 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
     The twisted 2-cocycle identity is asserted exactly over all of H^3,
     by lookups in the multiplication table of Aut. Unlike the 1-cocycle
     identities of ``compression`` it is not cut down to generators of H:
-    its |H|^3 checks are table lookups, cheap next to the |Aut| n point
-    images that build the permutations of Aut.
+    its |H|^3 checks are table lookups. The permutations of Aut are the
+    ones the Aut scan read off its cross-ratios (``AutGroup.perms``).
     """
     aut, d = data.aut, data.divisor
     group, h, pi = data.group, data.h_indices, data.perms
-    where = {p: k for k, p in enumerate(d.points)}.get
-    perms = [tuple(map(where, map(a, d.points))) for a in aut.elements]
-    pos = {q: k for k, q in enumerate(perms)}
+    pos = {q: k for k, q in enumerate(aut.perms)}
     if any(set(pi[i]) != set(range(d.degree)) for i in h):
         raise InternalInconsistency("cocycle value moves the divisor")
     # sorting the positions by their images inverts a permutation
@@ -189,7 +187,7 @@ def descent_cocycle(data: ModuliData) -> Cocycle:
     if None in idx.values():
         raise InternalInconsistency("cocycle value moves the divisor")
     twist = {i: [pos.get(tuple(pi[i][q[k]] for k in pi_inv[i]))
-                 for q in perms] for i in h}
+                 for q in aut.perms] for i in h}
     if any(None in twist[i] for i in h):
         raise InternalInconsistency("twisted Aut element leaves Aut")
     for i in h:
@@ -420,7 +418,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         gram_q = mat_map(FieldElem.as_fraction, gram_fom)
         scale = primitive_scale(x for row in gram_q for x in row)
         conic = TernaryForm(mat_map(lambda x: x * scale, gram_q))
-        if not conic.is_nonsingular():
+        if not conic.det():
             raise InternalInconsistency("compression conic is singular")
 
     return CompressionResult(

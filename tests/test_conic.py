@@ -1,4 +1,5 @@
 # tests/test_conic.py
+import importlib
 import random
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from p1moduli.conic import (
     hilbert_symbol,
     parametrize,
 )
-from p1moduli.errors import PointNotOnConic, SingularForm
-from p1moduli.intmath import squarefree_part
+from p1moduli.errors import InternalInconsistency, PointNotOnConic, \
+    SingularForm
+from p1moduli.intmath import fraction_sqrt, squarefree_part
 
 F = Fraction
 
@@ -116,6 +118,142 @@ def test_diagonalize_rescales_other_diagonal_forms():
 def test_diagonalize_rejects_singular():
     with pytest.raises(SingularForm):
         diagonalize(TernaryForm.diagonal(1, 1, 0))
+
+
+def oracle_diagonalize(f):
+    """The rational congruence elimination, one Fraction column operation
+    at a time, as diagonalize ran it before it worked over the integers.
+    Returns (coeffs, B) and the branches taken: "diagonal" for the early
+    return, ("swap", i) and ("sum", i) for a zero pivot at step i."""
+    (d0, _, _), (u, d1, _), (v, w, d2) = f.gram
+    if not (u or v or w) and all(d and d.denominator == 1
+                                 and squarefree_part(d) == d
+                                 for d in (d0, d1, d2)):
+        return (tuple(map(int, (d0, d1, d2))), linalg.identity(3)), \
+            {"diagonal"}
+    g = [list(r) for r in f.gram]
+    b = [list(r) for r in linalg.identity(3)]
+    branches = set()
+
+    def addmul(dst, src, r):
+        for k in range(3):
+            g[k][dst] += r * g[k][src]
+        for k in range(3):
+            g[dst][k] += r * g[src][k]
+        for k in range(3):
+            b[k][dst] += r * b[k][src]
+
+    for i in range(3):
+        if g[i][i] == 0:
+            j = next((j for j in range(i + 1, 3) if g[j][j] != 0), None)
+            if j is not None:
+                branches.add(("swap", i))
+                for m in (g, b):
+                    for row in m:
+                        row[i], row[j] = row[j], row[i]
+                g[i], g[j] = g[j], g[i]
+            else:
+                branches.add(("sum", i))
+                j = next(j for j in range(i + 1, 3) if g[i][j] != 0)
+                addmul(i, j, F(1))
+        for j in range(i + 1, 3):
+            if g[i][j] != 0:
+                addmul(j, i, -g[i][j] / g[i][i])
+    coeffs = []
+    for i in range(3):
+        target = squarefree_part(g[i][i])
+        r = fraction_sqrt(F(target) / g[i][i])
+        for k in range(3):
+            b[k][i] *= r
+        coeffs.append(target)
+    return (tuple(coeffs), b), branches
+
+
+def random_rational(rng, zero=True):
+    """A small rational with a small denominator; nonzero unless ``zero``."""
+    while True:
+        v = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 9, 10]))
+        if v or zero:
+            return v
+
+
+def congruent_form(rng, h):
+    """T^T H T with T = I + s e_01 + t e_02, s and t each zero or not: the
+    elimination clears row 0 against H's pivot, scaling column 1 when s is
+    nonzero and column 2 when t is, and then meets H's lower block."""
+    s, t = (rng.choice([F(0), random_rational(rng, zero=False)])
+            for _ in range(2))
+    m = [[F(1), s, t], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), h), m)
+
+
+def oracle_cases(rng):
+    """Upper triangles of symmetric Gram matrices, by branch."""
+    z = F(0)
+
+    def r(zero=False):
+        return random_rational(rng, zero)
+
+    for _ in range(30):  # generic pivots
+        yield [[r(), r(), r(True)], [None, r(), r()], [None, None, r(True)]]
+        # zero pivot at step 0: a swap, or the sum when all three vanish
+        yield [[z, r(), r()], [None, r(), r(True)], [None, None, r(True)]]
+        yield [[z, r(), r()], [None, z, r()], [None, None, z]]
+        # zero pivot at step 1 behind a nonzero one: a swap, or the sum
+        # of two columns that may carry different scales
+        yield congruent_form(rng, [[r(), z, z], [z, z, r()], [z, r(), r()]])
+        yield congruent_form(rng, [[r(), z, z], [z, z, r()], [z, r(), z]])
+        # diagonal forms, squarefree integral or not
+        yield [[F(random_squarefree(rng, 1, 40)), z, z],
+               [None, F(random_squarefree(rng, 1, 40)), z],
+               [None, None, F(random_squarefree(rng, 1, 40))]]
+        yield [[r(), z, z], [None, r(), z], [None, None, r()]]
+
+
+def test_diagonalize_matches_the_rational_elimination():
+    # the integer elimination returns the rational one's (coeffs, B)
+    # exactly, int coefficients and Fraction entries, in every branch
+    rng = random.Random(20261020)
+    seen = set()
+    for rows in oracle_cases(rng):
+        gram = [[rows[min(i, j)][max(i, j)] for j in range(3)]
+                for i in range(3)]
+        if linalg.det(gram) == 0:
+            continue
+        f = TernaryForm(gram)
+        (want, branches) = oracle_diagonalize(f)
+        seen |= branches or {"generic"}
+        got = diagonalize(f)
+        assert got == want
+        coeffs, basis = got
+        assert all(type(c) is int for c in coeffs)
+        assert all(type(x) is F for row in basis for x in row)
+        # kept on the form: a second call returns the same, and changing
+        # the returned basis does not reach the kept one
+        basis[0][0] += 1
+        assert diagonalize(TernaryForm(gram)) == want == diagonalize(f)
+    assert seen >= {"generic", "diagonal", ("swap", 0), ("sum", 0),
+                    ("swap", 1), ("sum", 1)}
+
+
+def test_diagonalize_catches_a_corrupted_elimination_step(monkeypatch):
+    conic_mod = importlib.import_module("p1moduli.conic")
+    step = conic_mod._col_op
+
+    def spoiled(g, b, dst, s, src, r):
+        step(g, b, dst, s, src, r)
+        b[0][dst] += 1
+
+    monkeypatch.setattr(conic_mod, "_col_op", spoiled)
+    f = TernaryForm([[1, 2, 3], [2, 5, 7], [3, 7, 2]])
+    with pytest.raises(InternalInconsistency,
+                       match="congruence verification failed"):
+        diagonalize(f)
+    # nothing unverified is kept
+    assert f._diag is None
+    monkeypatch.undo()
+    diagonalize(f)
+    assert f._diag is not None
 
 
 def test_upper_roundtrip():

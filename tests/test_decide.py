@@ -493,7 +493,9 @@ def test_decide_scans_the_triples_once(monkeypatch):
 def test_decide_images_no_divisor_again(monkeypatch):
     # each witness carries its permutation of D, so the field of moduli,
     # the descent cocycle and the compression check three points per
-    # witness instead of imaging all of D: 144 point images, 288 before
+    # witness instead of imaging all of D, and the descent cocycle reads
+    # the permutations of Aut from the Aut scan: 40 point images, 56
+    # while it imaged D under Aut, 288 before witnesses carried theirs
     counted = []
     apply = Mobius.apply
 
@@ -505,7 +507,28 @@ def test_decide_images_no_divisor_again(monkeypatch):
     monkeypatch.setattr(Mobius, "__call__", counting)
     v = decide(obstructed_eight())
     assert v.outcome == NOT_DEFINED and v.certificate.symbols
-    assert 0 < len(counted) <= 144
+    assert 0 < len(counted) <= 40
+
+
+@pytest.mark.parametrize("make, kind", [(twisted_six, "p1_model"),
+                                        (obstructed_eight, "obstruction")])
+def test_one_elimination_per_conic(monkeypatch, make, kind):
+    # hasse_solvable, find_point and the certificate recheck share the
+    # diagonalisation kept on the compression conic; the norm equation's
+    # conics are other objects, each diagonalised once
+    conic_mod = importlib.import_module("p1moduli.conic")
+    run, seen = conic_mod._diagonalize, []
+
+    def counted(f):
+        seen.append(f)
+        return run(f)
+
+    monkeypatch.setattr(conic_mod, "_diagonalize", counted)
+    d = make()
+    v = decide(d)
+    assert v.certificate.kind == kind and verify_certificate(d, v)
+    assert sum(f is v.certificate.conic for f in seen) == 1
+    assert all(sum(g is f for g in seen) == 1 for f in seen)
 
 
 def test_decide_inverts_and_reduces_on_demand(monkeypatch):

@@ -17,10 +17,11 @@ from p1moduli.divisor import (
     conjugate_divisor,
     pgl2_equivalent,
 )
-from p1moduli.errors import DegreeTooSmall
+from p1moduli.decide import decide, verify_certificate
+from p1moduli.errors import DegreeTooSmall, InternalInconsistency
 from p1moduli.projline import Mobius, ProjPoint, mobius_from_triples
 from p1moduli.qfield import FieldElem, FieldTower, galois_group, \
-    multiquadratic_tower
+    multiquadratic_tower, tower_extend
 
 F = Fraction
 Q = FieldTower.rationals()
@@ -313,11 +314,17 @@ def orbit_structure(d, g):
     return sorted(orbits, key=lambda o: (len(o), o[0].sort_key()))
 
 
+def aut_group(d, maps):
+    """AutGroup of the given maps, each with its permutation of D found
+    by imaging every point (``imaged_perm``), not by the Aut scan."""
+    return AutGroup((m, imaged_perm(d.points, m, d.points)) for m in maps)
+
+
 def test_orbit_structure_normal_form():
     lam = F(7, 2)
     d = rational_divisor([0, 1, -1, lam, -lam], with_inf=True)
     neg = Mobius.from_rationals(Q, -1, 0, 0, 1)
-    g = AutGroup([Mobius.identity(Q), neg])
+    g = aut_group(d, [Mobius.identity(Q), neg])
     orbits = orbit_structure(d, g)
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [1, 1, 2, 2]
@@ -327,7 +334,7 @@ def test_orbit_structure_normal_form():
 
 def test_orbit_structure_trivial_group():
     d = rational_divisor([0, 1, 2, 3])
-    g = AutGroup([Mobius.identity(Q)])
+    g = aut_group(d, [Mobius.identity(Q)])
     orbits = orbit_structure(d, g)
     assert len(orbits) == 4
     assert all(len(o) == 1 for o in orbits)
@@ -337,7 +344,7 @@ def test_orbit_structure_free_action():
     # degree 8, no fixed point of x -> -x in the divisor
     d = rational_divisor([1, -1, 2, -2, 3, -3, 4, -4])
     neg = Mobius.from_rationals(Q, -1, 0, 0, 1)
-    g = AutGroup([Mobius.identity(Q), neg])
+    g = aut_group(d, [Mobius.identity(Q), neg])
     orbits = orbit_structure(d, g)
     assert [len(o) for o in orbits] == [2, 2, 2, 2]
 
@@ -439,7 +446,7 @@ def counterexample_divisor():
 def assert_table_matches_oracle(d):
     table = TripleTable(d)
     found = oracle_aut(d)
-    assert table.aut.elements == AutGroup(found).elements
+    assert table.aut.elements == aut_group(d, found).elements
     assert set(table.aut.elements) == set(found)
     for sigma in galois_group(d.tower).elements:
         moved = conjugate_divisor(sigma, d)
@@ -570,7 +577,7 @@ def test_next_split_prime_when_the_first_fails():
         d = rational_divisor([0, p, 1, -1, F(1, 3), 5], tower=tower)
         table = TripleTable(d)
         assert table.mods[0] is None and table.mods[1][0][0] == p1
-        assert table.aut.elements == AutGroup(oracle_aut(d)).elements
+        assert table.aut.elements == aut_group(d, oracle_aut(d)).elements
         e = d.apply(random_mobius(rng, tower))
         assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
         assert pgl2_equivalent(d, e) == oracle_equivalent(d, e) is not None
@@ -676,7 +683,7 @@ def test_false_mod_p_matches_are_refused_exactly(monkeypatch):
     rng = random.Random(1818)
     for _ in range(40):
         d = random_rational_divisor(rng, rng.randint(4, 8))
-        assert compute_aut(d).elements == AutGroup(oracle_aut(d)).elements
+        assert compute_aut(d).elements == aut_group(d, oracle_aut(d)).elements
         e = d.apply(random_mobius(rng))
         assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
         other = random_rational_divisor(rng, d.degree)
@@ -713,3 +720,81 @@ def test_a_trivial_aut_scan_builds_one_map(monkeypatch):
 def test_table_requires_three_points():
     with pytest.raises(DegreeTooSmall):
         TripleTable(rational_divisor([0, 1]))
+
+
+# ---------------------------------------------------------
+# the multiplication table from permutations
+# ---------------------------------------------------------
+
+def octahedron():
+    """The six vertices 0, oo, +-1, +-i of the octahedron over Q(i)."""
+    t = multiquadratic_tower([-1])
+    i = t.root(0)
+    return Divisor([pt(0, t), inf(t), pt(1, t), pt(-1, t),
+                    ProjPoint.finite(i), ProjPoint.finite(-i)])
+
+
+def icosahedron():
+    """Klein's twelve vertices 0, oo, z^k (z + z^4), z^k (z^2 + z^3) of
+    the icosahedron, z a primitive fifth root of unity, over
+    Q(sqrt 5)(sqrt((-5 - sqrt 5)/2)) = Q(z)."""
+    t1 = multiquadratic_tower([5])
+    t = tower_extend(t1, (-5 - t1.root(0)) / 2).tower
+    w = (t.root(0) - 1) / 2  # z + 1/z
+    z = (w + t.root(1)) / 2
+    powers = [t.one()]
+    for _ in range(4):
+        powers.append(powers[-1] * z)
+    assert powers[-1] * z == t.one() != z
+    a, b = z + powers[4], powers[2] + powers[3]
+    return Divisor([pt(0, t), inf(t)]
+                   + [ProjPoint.finite(q * c) for q in powers for c in (a, b)])
+
+
+@pytest.mark.parametrize("make, label", [(octahedron, "S4"),
+                                         (icosahedron, "A5")])
+def test_platonic_aut_groups(make, label):
+    d = make()
+    g = compute_aut(d)
+    assert g.tag.label() == label
+    assert g.perms == tuple(imaged_perm(d.points, m, d.points)
+                            for m in g.elements)
+    # the table read from permutations is the one composing maps gives
+    assert g.table == [[g.index[a.compose(b)] for b in g.elements]
+                       for a in g.elements]
+    v = decide(d)
+    assert v.certificate.rule == "noncyclic" and verify_certificate(d, v)
+
+
+def test_aut_group_composes_no_map(monkeypatch):
+    composed = []
+    compose = Mobius.compose
+
+    def counting(self, other):
+        composed.append(other)
+        return compose(self, other)
+
+    for d in (octahedron(), icosahedron(), counterexample_divisor(),
+              rational_divisor([0, 1, -1], with_inf=True)):
+        pts, mods = d.points, []
+        pairs = list(_matches(pts, (0, 1, 2), pts, mods, mods))
+        monkeypatch.setattr(Mobius, "compose", counting)
+        g = AutGroup(pairs)
+        monkeypatch.undo()
+        assert not composed and g.order == len(pairs) > 1
+
+
+def test_aut_group_rejects_a_set_not_closed():
+    d = octahedron()
+    pts, mods = d.points, []
+    pairs = list(_matches(pts, (0, 1, 2), pts, mods, mods))
+    idn = [pr for pr in pairs if pr[0].is_identity()]
+    rest = [pr for pr in pairs if not pr[0].is_identity()]
+    with pytest.raises(InternalInconsistency, match="not closed"):
+        AutGroup(idn + rest[1:])
+    with pytest.raises(InternalInconsistency, match="identity once"):
+        AutGroup(rest)
+    # a wrong permutation beside a right map breaks closure as well
+    m, perm = rest[0]
+    with pytest.raises(InternalInconsistency, match="not closed"):
+        AutGroup(idn + [(m, perm[1:] + perm[:1])] + rest[1:])
