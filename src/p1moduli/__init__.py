@@ -23,9 +23,8 @@ from .qfield import (  # noqa: F401
 from .projline import (  # noqa: F401
     Mobius,
     ProjPoint,
-    cross_ratio,
+    fixed_points,
     mobius_from_triples,
-    mobius_order_and_fixed,
 )
 
 from .divisor import (  # noqa: F401

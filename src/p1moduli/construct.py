@@ -23,9 +23,9 @@ from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
 from .intmath import squarefree_part
-from .linalg import cross, det, mat_vec, proportional
-from .projline import Mobius, ProjPoint, mobius_from_triples, \
-    mobius_order_and_fixed, zero_point
+from .linalg import cross, det, dot, proportional
+from .projline import Mobius, ProjPoint, fixed_points, mobius_from_triples, \
+    zero_point
 from .qfield import FieldElem, FieldTower, galois_group, tower_extend
 
 F = Fraction
@@ -132,7 +132,7 @@ def _param_of_point(par: Parametrization, pt: Sequence) -> ProjPoint:
     s = pt[o0] * p[lead] - pt[lead] * p[o0]
     t = pt[o1] * p[lead] - pt[lead] * p[o1]
     if not (s or t):
-        gp = mat_vec(par.form.gram, pt)
+        gp = [dot(pt, row) for row in par.form.gram]
         s, t = gp[o1], -gp[o0]
     r = ProjPoint(s, t)
     if not proportional(par.apply(r.x, r.y), pt):
@@ -456,13 +456,12 @@ def deg6_normal_form(d: Divisor) -> Deg6Form:
         raise HypothesesNotMet("normal form requires degree 6")
     aut = compute_aut(d)
     tower = d.tower
-    for g in aut.elements:
-        if g.is_identity() or not g.compose(g).is_identity():
+    for g, order in zip(aut.elements, aut.orders):
+        if order != 2:
             continue
-        res = mobius_order_and_fixed(g)
-        if res.extended:
+        (f1, f2), fixed_tower = fixed_points(g)
+        if fixed_tower != tower:
             continue
-        f1, f2 = res.fixed[0], res.fixed[1]
         if f1 not in d or f2 not in d:
             continue
         rest = [p for p in d.points if p not in (f1, f2)]

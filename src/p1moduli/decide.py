@@ -19,8 +19,7 @@ from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
     hasse_solvable, hilbert_symbol, parametrize
-from .divisor import AutGroup, Divisor, TripleTable, conjugate_divisor, \
-    conjugate_mobius
+from .divisor import AutGroup, Divisor, TripleTable
 from .errors import InternalInconsistency, NonElementaryGaloisQuotient, \
     UnsupportedAut
 from .intmath import primitive_scale
@@ -202,10 +201,13 @@ def binary_form_coefficients(d: Divisor) -> list:
 
 
 def _rational_form(coeffs) -> list[Fraction]:
+    # the first nonzero coefficient of the form of normalised points is
+    # +-1, so the form is rational exactly when its divisor is stable
+    # under the Galois group
     out = []
     for c in coeffs:
         if not c.is_rational():
-            raise InternalInconsistency("form coefficient is irrational")
+            raise InternalInconsistency("descended divisor not stable")
         out.append(c.as_fraction())
     s = primitive_scale(out)
     return [c * s for c in out]
@@ -245,14 +247,11 @@ def _norm_equation_model(d: Divisor, data: ModuliData
     sigma = data.group.elements[si]
     phi = data.cochain[si]
     for a in data.aut.elements:
-        cand = a.compose(phi)
-        if not cand.compose(conjugate_mobius(sigma, cand)).is_identity():
-            continue
-        p = _mobius_matrix(cand)
+        p = _mobius_matrix(a.compose(phi))
         k = mat_mul(p, mat_map(sigma, p))
         lam = k[0][0]
         if k[0][1] or k[1][0] or k[0][0] != k[1][1]:
-            raise InternalInconsistency("projective identity not scalar")
+            continue  # not a projective cocycle
         if not lam.is_rational():
             raise InternalInconsistency("cocycle scalar is irrational")
         lam_q = lam.as_fraction()
@@ -266,8 +265,7 @@ def _norm_equation_model(d: Divisor, data: ModuliData
         if mat_mul(p, mat_map(sigma, p)) != identity(2):
             raise InternalInconsistency("scalar repair failed")
         b = _find_invertible(p, sigma, tower)
-        return _descended_model(d, data, Mobius(b[0][0], b[0][1], b[1][0],
-                                                b[1][1]))
+        return _descended_model(d, Mobius(b[0][0], b[0][1], b[1][0], b[1][1]))
     raise InternalInconsistency(
         "no automorphism adjustment trivializes the quadratic cocycle")
 
@@ -289,17 +287,13 @@ def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
                   else ProjPoint(w[0], w[1]))
     std = (ProjPoint.finite(tower.zero()), ProjPoint.finite(tower.one()),
            ProjPoint.infinity(tower))
-    return _descended_model(d, data, mobius_from_triples(*std, *zs))
+    return _descended_model(d, mobius_from_triples(*std, *zs))
 
 
-def _descended_model(d: Divisor, data: ModuliData, mob: Mobius
+def _descended_model(d: Divisor, mob: Mobius
                      ) -> tuple[list[Fraction], Mobius]:
-    """The rational form of D0 = mob^{-1}(D), once D0 is checked stable
-    under every nonidentity element of H."""
+    """The rational form of D0 = mob^{-1}(D), with mob."""
     d0 = d.apply(mob.inverse())
-    if any(conjugate_divisor(data.group.elements[i], d0) != d0
-           for i in data.h_indices[1:]):
-        raise InternalInconsistency("descended divisor not stable")
     return _rational_form(binary_form_coefficients(d0)), mob
 
 

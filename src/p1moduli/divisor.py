@@ -260,12 +260,6 @@ def _reduced(pts, mods, k):
     return mods[k]
 
 
-def _sends(m, p, q) -> bool:
-    """m(p) = q, read as the bracket of q with the unnormalised image of p
-    vanishing: no inverse and no new point."""
-    return not ((m.a * p.x + m.b * p.y) * q.y - q.x * (m.c * p.x + m.d * p.y))
-
-
 def _matches(src, base, pts, src_mods, mods):
     """The maps M sending src[i], i in ``base``, to the ordered triples t of
     ``pts`` (of src's degree) with M(src) = pts, in scan order, each with
@@ -320,8 +314,8 @@ def _matches(src, base, pts, src_mods, mods):
                 continue
         m = mobius_from_triples(*(src[i] for i in base),
                                 *(pts[k] for k in t))
-        if all(_sends(m, src[i], pts[k]) for i, k in perm.items()
-               if i not in base):
+        if all(m.sends(src[i].x, src[i].y, pts[k].x, pts[k].y)
+               for i, k in perm.items() if i not in base):
             yield m, tuple(map(perm.get, range(n)))
 
 

@@ -38,11 +38,6 @@ class DegenerateTriple(P1ModuliError):
     """Three points that had to be pairwise distinct are not."""
 
 
-class UnsupportedCyclotomy(P1ModuliError):
-    """A Mobius map has finite order requiring a root of unity outside
-    every quadratic tower supported here."""
-
-
 class DegreeTooSmall(P1ModuliError):
     """A divisor has fewer than three points where at least three are needed."""
 

@@ -40,7 +40,7 @@ from .errors import (
 from .intmath import primitive_scale
 from .linalg import det, dot, inverse, mat_map, mat_mul, mat_vec, \
     proportional, transpose
-from .projline import Mobius, ProjPoint, mobius_order_and_fixed
+from .projline import Mobius, ProjPoint, fixed_points
 from .qfield import (
     FieldElem,
     FieldTower,
@@ -330,11 +330,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         tower2, kappa = base, Mobius.identity(base)
     else:
         gen = aut.generator()
-        res = mobius_order_and_fixed(gen, max_order=max(24, m))
-        if res.order != m:
-            raise InternalInconsistency("generator order mismatch")
-        tower2 = res.tower
-        p_plus, p_minus = res.fixed
+        (p_plus, p_minus), tower2 = fixed_points(gen)
         kappa = Mobius(p_plus.y, -p_plus.x, p_minus.y, -p_minus.x)
     kmat, kinv = _matrix(kappa, tower2), _matrix(kappa.inverse(), tower2)
     zeta = tower2.one()
@@ -342,9 +338,11 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         (a, b), (c, e) = mat_mul(mat_mul(kmat, _matrix(gen, tower2)), kinv)
         if not (b.is_zero() and c.is_zero()):
             raise InternalInconsistency("conjugated generator is not diagonal")
-        zeta = a / e
-        if zeta ** m != tower2.one():
-            raise InternalInconsistency("scaling factor is not an m-th root of 1")
+        # w -> zeta w has order m exactly when zeta is a primitive m-th
+        # root of unity
+        zeta, one = a / e, tower2.one()
+        if zeta ** m != one or any(zeta ** k == one for k in range(1, m)):
+            raise InternalInconsistency("generator order mismatch")
 
     h2, restr = _lift_subgroup(tower2, base, data.group, data.h_indices)
     moved = [kappa(p.embed(tower2)) for p in d.points]  # kappa(D), D's order

@@ -1,5 +1,5 @@
 """The projective line over a quadratic tower: points, Mobius maps,
-cross-ratios, orders and fixed points.
+maps from triples, and fixed points.
 
 Points are homogeneous pairs normalized to y = 1 (finite) or (1 : 0)
 (infinity). Mobius transformations are 2x2 matrices up to scale,
@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
-from .errors import (
-    DegenerateTriple,
-    InternalInconsistency,
-    SingularMatrix,
-    UnsupportedCyclotomy,
-)
-from .intmath import factorint
+from .errors import DegenerateTriple, SingularMatrix
 from .qfield import FieldElem, FieldTower, tower_extend
 
 
@@ -137,9 +130,6 @@ class Mobius:
     def det(self) -> FieldElem:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> FieldElem:
-        return self.a + self.d
-
     def image(self, x: FieldElem, y: FieldElem) -> tuple[FieldElem, FieldElem]:
         """The image of (x : y) as an unnormalised pair."""
         return self.a * x + self.b * y, self.c * x + self.d * y
@@ -202,7 +192,7 @@ class Mobius:
 
 
 # ---------------------------------------------------------------------------
-# triples and cross-ratio
+# triples
 # ---------------------------------------------------------------------------
 
 def bracket(p: ProjPoint, q: ProjPoint) -> FieldElem:
@@ -237,148 +227,37 @@ def mobius_from_triples(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     return Mobius(e * d - f * c, f * a - e * b, g * d - h * c, h * a - g * b)
 
 
-def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
-                p4: ProjPoint) -> ProjPoint:
-    """The cross-ratio as a point of the line, with cr(0, 1, inf, z) = z.
-
-    The first three points must be pairwise distinct; the value is (1:0)
-    when p4 coincides with p3.
-    """
-    return mobius_to_triple(p1, p2, p3).inverse().apply(p4)
-
-
 # ---------------------------------------------------------------------------
-# orders and fixed points
+# fixed points
 # ---------------------------------------------------------------------------
 
-def _euler_phi(n: int) -> int:
-    out = 1
-    for p, e in factorint(n).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def supported_orders(bound: int = 24) -> list[int]:
-    """Orders m <= bound whose primitive roots of unity have a real
-    subfield of 2-power degree, i.e. phi(m) is a power of 2."""
-    out = []
-    for m in range(1, bound + 1):
-        phi = _euler_phi(m)
-        if phi & (phi - 1) == 0:
-            out.append(m)
-    return out
-
-
-def _cheb_pair(s: FieldElem, m: int) -> FieldElem:
-    """c_m where c_j = r^j + r^(-j), c_0 = 2, c_1 = s, via a Lucas ladder."""
-    t = s.tower
-    two = t.from_rational(2)
-    if m == 0:
-        return two
-    lo, hi = two, s  # (c_j, c_{j+1}) with j = 0
-    for bit in bin(m)[2:]:
-        if bit == "1":
-            lo, hi = lo * hi - s, hi * hi - two  # j -> 2j+1
-        else:
-            lo, hi = lo * lo - two, lo * hi - s  # j -> 2j
-    return lo
-
-
-def _min_poly_coeffs(s: FieldElem) -> list[Fraction]:
-    """Monic minimal polynomial of s over Q, low degree first."""
-    deg = s.tower.degree
-    powers = [s.tower.one()]
-    while True:
-        powers.append(powers[-1] * s)
-        n = len(powers) - 1
-        cols = [list(p.coords) for p in powers[:n]]
-        target = [-c for c in powers[n].coords]
-        sol = linalg.solve(linalg.transpose(cols), target)
-        if sol is not None:
-            return sol + [Fraction(1)]
-        if n >= deg:
-            raise InternalInconsistency("minimal polynomial search exceeded degree")
-
-
-class OrderFixedResult:
-    """Order data of a Mobius map.
-
-    ``order`` is None for infinite order. ``fixed`` holds the fixed
-    points over ``tower``, which extends the input tower when the
-    discriminant was not a square; the identity fixes everything and
-    reports an empty tuple.
-    """
-
-    __slots__ = ("order", "fixed", "tower", "extended")
-
-    def __init__(self, order: int | None, fixed: tuple[ProjPoint, ...],
-                 tower: FieldTower, extended: bool):
-        self.order = order
-        self.fixed = fixed
-        self.tower = tower
-        self.extended = extended
-
-    def __repr__(self) -> str:
-        o = "inf" if self.order is None else self.order
-        return f"OrderFixedResult(order={o}, fixed={list(self.fixed)!r})"
-
-
-def _fixed_points(mob: Mobius) -> tuple[tuple[ProjPoint, ...], FieldTower, bool]:
+def fixed_points(mob: Mobius) -> tuple[tuple[ProjPoint, ...], FieldTower]:
+    """The fixed points of a nonidentity map, and the tower they live in:
+    the map's own tower, or that tower extended by the square root of the
+    discriminant when it is not a square there. A parabolic map has one
+    fixed point, every other map two. The identity fixes every point and
+    raises ValueError."""
+    if mob.is_identity():
+        raise ValueError("the identity fixes every point")
     a, b, c, d = mob.entries()
     t = mob.tower
     if c.is_zero():
         inf = ProjPoint.infinity(t)
         if a == d:
-            return (inf,), t, False
+            return (inf,), t
         # z = (a z + b) / d fixes b / (d - a)
-        return (inf, ProjPoint.finite(b / (d - a))), t, False
+        return (inf, ProjPoint.finite(b / (d - a))), t
     disc = (a - d) * (a - d) + 4 * b * c
     if disc.is_zero():
-        return (ProjPoint.finite((a - d) / (2 * c)),), t, False
+        return (ProjPoint.finite((a - d) / (2 * c)),), t
     res = tower_extend(t, disc)
     if res.extended:
         big = res.tower
         root = big.embed(disc).sqrt()
-        a2, d2, c2 = big.embed(a), big.embed(d), big.embed(c)
+        a, d, c = big.embed(a), big.embed(d), big.embed(c)
     else:
         big = t
         root = res.existing_sqrt
-        a2, d2, c2 = a, d, c
-    p_plus = ProjPoint.finite((a2 - d2 + root) / (2 * c2))
-    p_minus = ProjPoint.finite((a2 - d2 - root) / (2 * c2))
-    return (p_plus, p_minus), big, res.extended
-
-
-def mobius_order_and_fixed(mob: Mobius, max_order: int = 24) -> OrderFixedResult:
-    """Least m with mob^m scalar, plus the fixed points.
-
-    Detection runs over the orders supported in a quadratic tower (phi(m)
-    a power of 2) up to ``max_order``. A map of finite order beyond that
-    list raises UnsupportedCyclotomy; a map whose eigenvalue ratio is not
-    a root of unity at all reports infinite order.
-    """
-    tr = mob.trace()
-    dt = mob.det()
-    s = tr * tr / dt - 2  # r + 1/r for the eigenvalue ratio r
-    two = mob.tower.from_rational(2)
-    if s == two:
-        # equal eigenvalues: scalar or parabolic
-        if mob.is_identity():
-            return OrderFixedResult(1, (), mob.tower, False)
-        fixed, t, ext = _fixed_points(mob)
-        return OrderFixedResult(None, fixed, t, ext)
-    for m in supported_orders(max_order):
-        if _cheb_pair(s, m) == two:
-            fixed, t, ext = _fixed_points(mob)
-            return OrderFixedResult(m, fixed, t, ext)
-    # no supported order matched: decide root-of-unity beyond the list
-    coeffs = _min_poly_coeffs(s)
-    if all(c.denominator == 1 for c in coeffs):
-        target_phi = 2 * (len(coeffs) - 1)
-        limit = max(2 * target_phi * target_phi, max_order + 1)
-        for m in range(max_order + 1, limit + 1):
-            if _euler_phi(m) == target_phi and _cheb_pair(s, m) == two:
-                raise UnsupportedCyclotomy(
-                    f"map has order {m}, beyond the supported bound {max_order}")
-    fixed, t, ext = _fixed_points(mob)
-    return OrderFixedResult(None, fixed, t, ext)
+    p_plus = ProjPoint.finite((a - d + root) / (2 * c))
+    p_minus = ProjPoint.finite((a - d - root) / (2 * c))
+    return (p_plus, p_minus), big

@@ -8,6 +8,7 @@ from p1moduli import linalg, moduli
 from p1moduli.conic import find_point, hilbert_symbol
 from p1moduli.construct import CounterexampleSpec, gen_counterexample
 from p1moduli.divisor import (
+    AutGroup,
     Divisor,
     compute_aut,
     conjugate_divisor,
@@ -295,6 +296,19 @@ def test_compression_order_four_pentagon():
     assert comp.zeta ** 4 == one and comp.zeta ** 2 != one
     # conic of a rationally compressible divisor must have a point
     assert find_point(comp.conic) is not None
+
+
+def test_compression_refuses_a_generator_of_smaller_order(monkeypatch):
+    # the square of a cyclic(4) generator conjugates to w -> -w, and -1 is
+    # not a primitive 4th root of unity
+    d = q_i_pentagon()
+    data = field_of_moduli(d)
+    real = AutGroup.generator
+    monkeypatch.setattr(AutGroup, "generator",
+                        lambda self: real(self).compose(real(self)))
+    with pytest.raises(InternalInconsistency,
+                       match="generator order mismatch"):
+        compression(d, data)
 
 
 def test_compression_extends_tower_for_irrational_fixed_points():

@@ -4,16 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from p1moduli.errors import DegenerateTriple, SingularMatrix, UnsupportedCyclotomy
+from p1moduli.errors import DegenerateTriple, SingularMatrix
 from p1moduli.projline import (
     Mobius,
     ProjPoint,
-    cross_ratio,
+    fixed_points,
     mobius_from_triples,
-    mobius_order_and_fixed,
     mobius_to_triple,
-    one_point,
-    supported_orders,
     zero_point,
 )
 from p1moduli.qfield import FieldTower, multiquadratic_tower, tower_extend
@@ -224,139 +221,102 @@ def test_degenerate_triple_in_either_position_raises(monkeypatch, repeat):
 
 
 # ---------------------------------------------------------
-# cross-ratio
+# fixed points
 # ---------------------------------------------------------
 
-def test_cross_ratio_convention():
-    lam = pt(F(7, 3))
-    assert cross_ratio(pt(0), pt(1), INF, lam) == lam
-    assert cross_ratio(pt(0), pt(1), INF, pt(1)) == pt(1)
-    assert cross_ratio(pt(0), pt(1), INF, INF) == INF
+def test_fixed_points_of_identity_raise():
+    with pytest.raises(ValueError):
+        fixed_points(Mobius.identity(Q))
 
 
-def test_cross_ratio_mobius_invariant():
-    # invariance under simultaneous Mobius action, many random samples
-    rng = random.Random(424242)
-    t = multiquadratic_tower([2])
-    base = [zero_point(t), one_point(t), ProjPoint.infinity(t)]
-    for _ in range(120):
-        lam = t.element([F(rng.randint(-20, 20), rng.randint(1, 5)),
-                         F(rng.randint(-20, 20), rng.randint(1, 5))])
-        z = ProjPoint.finite(lam)
-        if z in base:
-            continue
-        m = random_mobius(t, rng)
-        moved = [m(p) for p in base + [z]]
-        assert cross_ratio(*moved) == ProjPoint.finite(lam)
+def test_negation_fixes_zero_and_infinity():
+    points, tower = fixed_points(Mobius.from_rationals(Q, -1, 0, 0, 1))
+    assert set(points) == {zero_point(Q), ProjPoint.infinity(Q)}
+    assert tower == Q
 
 
-# ---------------------------------------------------------
-# orders and fixed points
-# ---------------------------------------------------------
-
-def test_supported_orders_default():
-    assert supported_orders() == [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 17, 20, 24]
-
-
-def test_identity_order():
-    res = mobius_order_and_fixed(Mobius.identity(Q))
-    assert res.order == 1
-    assert res.fixed == ()
-
-
-def test_negation_order_two():
-    res = mobius_order_and_fixed(Mobius.from_rationals(Q, -1, 0, 0, 1))
-    assert res.order == 2
-    assert set(res.fixed) == {zero_point(Q), ProjPoint.infinity(Q)}
-    assert not res.extended
-
-
-def test_lambda_over_z_order_two_extends():
+def test_lambda_over_z_fixed_points_extend():
     m = Mobius.from_rationals(Q, 0, 7, 1, 0)
-    res = mobius_order_and_fixed(m)
-    assert res.order == 2
-    assert res.extended
-    assert res.tower.rational_radicands() == [F(7)]
-    root7 = res.tower.root(0)
-    assert set(res.fixed) == {ProjPoint.finite(root7), ProjPoint.finite(-root7)}
-    big = m.embed(res.tower)
-    for p in res.fixed:
+    points, tower = fixed_points(m)
+    assert tower.rational_radicands() == [F(7)]
+    root7 = tower.root(0)
+    assert set(points) == {ProjPoint.finite(root7), ProjPoint.finite(-root7)}
+    big = m.embed(tower)
+    for p in points:
         assert big(p) == p
 
 
 def test_shift_is_parabolic():
-    res = mobius_order_and_fixed(Mobius.from_rationals(Q, 1, 1, 0, 1))
-    assert res.order is None
-    assert res.fixed == (ProjPoint.infinity(Q),)
+    points, tower = fixed_points(Mobius.from_rationals(Q, 1, 1, 0, 1))
+    assert points == (ProjPoint.infinity(Q),)
+    assert tower == Q
 
 
-def test_scaling_by_two_infinite_order():
-    res = mobius_order_and_fixed(Mobius.from_rationals(Q, 2, 0, 0, 1))
-    assert res.order is None
-    assert set(res.fixed) == {zero_point(Q), ProjPoint.infinity(Q)}
+def test_scaling_by_two_fixes_zero_and_infinity():
+    points, tower = fixed_points(Mobius.from_rationals(Q, 2, 0, 0, 1))
+    assert set(points) == {zero_point(Q), ProjPoint.infinity(Q)}
+    assert tower == Q
 
 
 def test_affine_involution_fixed_point():
     # z -> 5 - z fixes 5/2, not -5/2
-    res = mobius_order_and_fixed(Mobius.from_rationals(Q, -1, 5, 0, 1))
-    assert res.order == 2
+    points, _ = fixed_points(Mobius.from_rationals(Q, -1, 5, 0, 1))
     half = ProjPoint.finite(Q.from_rational(Fraction(5, 2)))
-    assert set(res.fixed) == {half, ProjPoint.infinity(Q)}
+    assert set(points) == {half, ProjPoint.infinity(Q)}
 
 
-def test_small_rotation_orders():
-    cases = [
-        (Mobius.from_rationals(Q, 0, -1, 1, -1), 3),
-        (Mobius.from_rationals(Q, 1, -1, 1, 1), 4),
-        (Mobius.from_rationals(Q, 2, -1, 1, 1), 6),
-    ]
-    for m, expected in cases:
-        res = mobius_order_and_fixed(m)
-        assert res.order == expected
-        assert (m ** expected).is_identity()
-        for k in range(1, expected):
-            assert not (m ** k).is_identity()
-
-
-def test_order_five_needs_sqrt5():
+def rotations():
+    """Maps of orders 3, 4 and 6 over Q, and of order 5 over Q(sqrt 5)."""
     t = multiquadratic_tower([5])
-    s = t.element([F(-1, 2), F(1, 2)])  # 2 cos(2 pi / 5)
-    tau = s + 2
-    m = Mobius(t.zero(), -tau, t.one(), tau)
-    res = mobius_order_and_fixed(m)
-    assert res.order == 5
-    assert (m ** 5).is_identity()
+    tau = t.element([F(-1, 2), F(1, 2)]) + 2  # 2 + 2 cos(2 pi / 5)
+    order_five = Mobius(t.zero(), -tau, t.one(), tau)
+    assert (order_five ** 5).is_identity()
+    return [Mobius.from_rationals(Q, 0, -1, 1, -1),
+            Mobius.from_rationals(Q, 1, -1, 1, 1),
+            Mobius.from_rationals(Q, 2, -1, 1, 1),
+            order_five]
 
 
-def test_order_of_inverse_and_conjugate():
-    rng = random.Random(99)
-    m = Mobius.from_rationals(Q, 2, -1, 1, 1)  # order 6
-    assert mobius_order_and_fixed(m.inverse()).order == 6
-    for _ in range(5):
-        g = random_mobius(Q, rng)
-        conj = g.compose(m).compose(g.inverse())
-        assert mobius_order_and_fixed(conj).order == 6
+def random_tower_mobius(tower, rng):
+    def entry():
+        return tower.element([F(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(tower.degree)])
+    while True:
+        try:
+            return Mobius(entry(), entry(), entry(), entry())
+        except SingularMatrix:
+            continue
 
 
-def test_unsupported_order_32_raises():
-    t = multiquadratic_tower([2])
-    t = tower_extend(t, t.element([2, 1])).tower
-    r = t.element([2, 0, 1, 0])  # 2 + sqrt(2 + sqrt 2)
-    t = tower_extend(t, r).tower
-    s = t.root(2)  # 2 cos(2 pi / 32)
-    tau = s + 2
-    m = Mobius(t.zero(), -tau, t.one(), tau)
-    with pytest.raises(UnsupportedCyclotomy):
-        mobius_order_and_fixed(m)
-
-
-def test_order_32_allowed_with_larger_bound():
-    t = multiquadratic_tower([2])
-    t = tower_extend(t, t.element([2, 1])).tower
-    r = t.element([2, 0, 1, 0])
-    t = tower_extend(t, r).tower
-    s = t.root(2)
-    tau = s + 2
-    m = Mobius(t.zero(), -tau, t.one(), tau)
-    res = mobius_order_and_fixed(m, max_order=32)
-    assert res.order == 32
+def test_fixed_points_are_fixed_in_the_returned_tower():
+    # random maps, and conjugates of a shift (one fixed point) and of a
+    # scaling (two fixed points in the map's tower), over towers of
+    # level 0-2
+    rng = random.Random(2323)
+    r2 = multiquadratic_tower([2])
+    towers = [Q, r2, multiquadratic_tower([-1, 3]),
+              tower_extend(r2, r2.root(0) + 1).tower]
+    maps = rotations()
+    for t in towers:
+        shift = Mobius.from_rationals(t, 1, 1, 0, 1)
+        for _ in range(6):
+            g = random_tower_mobius(t, rng)
+            scale = Mobius.from_rationals(t, rng.choice([-3, -1, 2, 5]), 0, 0, 1)
+            maps += [random_tower_mobius(t, rng),
+                     g.compose(shift).compose(g.inverse()),
+                     g.compose(scale).compose(g.inverse())]
+    counts = {1: 0, 2: 0, "extended": 0}
+    for m in maps:
+        points, tower = fixed_points(m)
+        a, b, c, d = m.entries()
+        disc = (a - d) * (a - d) + 4 * b * c
+        assert len(points) == (1 if disc.is_zero() else 2)
+        assert (tower != m.tower) == (disc.sqrt() is None)
+        big = m.embed(tower)
+        for p in points:
+            assert p.tower == tower and big(p) == p
+        assert len(set(points)) == len(points)
+        counts[len(points)] += 1
+        counts["extended"] += tower != m.tower
+    # every branch is reached
+    assert counts[1] and counts[2] and counts["extended"]
