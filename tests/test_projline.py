@@ -265,6 +265,41 @@ def test_affine_involution_fixed_point():
     assert set(points) == {half, ProjPoint.infinity(Q)}
 
 
+def test_small_rotation_orders():
+    cases = [
+        (Mobius.from_rationals(Q, 0, -1, 1, -1), 3),
+        (Mobius.from_rationals(Q, 1, -1, 1, 1), 4),
+        (Mobius.from_rationals(Q, 2, -1, 1, 1), 6),
+    ]
+    for m, expected in cases:
+        assert (m ** expected).is_identity()
+        for k in range(1, expected):
+            assert not (m ** k).is_identity()
+        # an elliptic map over Q has two conjugate fixed points off Q
+        points, tower = fixed_points(m)
+        assert len(points) == 2 and tower != Q
+        big = m.embed(tower)
+        for p in points:
+            assert big(p) == p
+
+
+def test_order_five_needs_sqrt5():
+    # z -> -tau / (z + tau), tau = 2 + 2 cos(2 pi / 5), has order 5 and
+    # its entries need sqrt 5
+    t = multiquadratic_tower([5])
+    s = t.element([F(-1, 2), F(1, 2)])  # 2 cos(2 pi / 5)
+    tau = s + 2
+    m = Mobius(t.zero(), -tau, t.one(), tau)
+    assert (m ** 5).is_identity()
+    for k in range(1, 5):
+        assert not (m ** k).is_identity()
+    points, tower = fixed_points(m)
+    assert len(points) == 2
+    big = m.embed(tower)
+    for p in points:
+        assert big(p) == p
+
+
 def rotations():
     """Maps of orders 3, 4 and 6 over Q, and of order 5 over Q(sqrt 5)."""
     t = multiquadratic_tower([5])
