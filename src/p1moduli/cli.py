@@ -170,7 +170,7 @@ def tower_json(t: FieldTower) -> list:
 
 
 def elem_json(e: FieldElem) -> list:
-    return [frac_str(c) for c in e.coords]
+    return [str(Fraction(v, e.den)) for v in e.num]
 
 
 def point_json(p: ProjPoint):

@@ -360,9 +360,10 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
         if not any(coeffs):
             return _fail("the zero form vanishes everywhere")
         d0 = d.apply(cert.mobius.inverse())
+        coeffs = [d.tower.from_rational(c) for c in coeffs]
         for p in d0.points:
             # Horner's rule at (x : 1); at (1 : 0) only c_0 survives
-            val = d.tower.from_rational(coeffs[0])
+            val = coeffs[0]
             if not p.is_infinity():
                 for c in coeffs[1:]:
                     val = val * p.x + c

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .projline import Mobius, ProjPoint, mobius_from_triples, one_point, \
     zero_point
-from .qfield import GaloisAut
+from .qfield import GaloisAut, sorted_by_coords
 
 
 class Divisor:
@@ -45,7 +45,8 @@ class Divisor:
             raise ValueError("points live in different towers")
         if len(set(pts)) != len(pts):
             raise ValueError("reduced divisor requires distinct points")
-        self.points = tuple(sorted(pts, key=ProjPoint.sort_key))
+        # y is 0 at infinity and 1 elsewhere: (y, x) orders as sort_key
+        self.points = tuple(sorted_by_coords(pts, lambda p: (p.y, p.x)))
         self.tower = tower
         self._set = frozenset(self.points)
         self._hash = None
@@ -130,8 +131,8 @@ class AutGroup:
     def __init__(self, pairs: Iterable[tuple[Mobius, tuple]]):
         pairs = list(pairs)
         idn = [pr for pr in pairs if pr[0].is_identity()]
-        rest = sorted((pr for pr in pairs if not pr[0].is_identity()),
-                      key=lambda pr: _mobius_key(pr[0]))
+        rest = sorted_by_coords((p for p in pairs if not p[0].is_identity()),
+                                lambda p: p[0].entries())
         if len(idn) != 1:
             raise InternalInconsistency("group must contain the identity once")
         self.elements, self.perms = zip(*(idn + rest))
@@ -187,11 +188,6 @@ class AutGroup:
 
     def __repr__(self) -> str:
         return f"AutGroup({self.tag.label()}, order={self.order})"
-
-
-def _mobius_key(m: Mobius):
-    """Sort key of the canonical element order."""
-    return (m.a.sort_key(), m.b.sort_key(), m.c.sort_key(), m.d.sort_key())
 
 
 def _classify(g: AutGroup) -> GroupTag:
@@ -281,7 +277,8 @@ def _matches(src, base, pts, src_mods, mods):
     arithmetic only certifies a full mod-p match, by imaging: the map M is
     built (the caller needs it anyway) and each src[i] outside the base
     must land on pts[perm[i]]. At degree 3 every triple matches and
-    nothing is reduced."""
+    nothing is reduced. When src is pts, the base matched to itself yields
+    the identity, which fixes every point, so nothing is built or checked."""
     n = len(pts)
     if n > 3:
         k = next(k for k in count() if _reduced(src, src_mods, k)
@@ -293,6 +290,9 @@ def _matches(src, base, pts, src_mods, mods):
         target = {sbr[a][i] * sinv[c][i] * scale % p: i
                   for i in range(n) if i not in base}
     for t in ordered_triples(n):
+        if src is pts and t == base:
+            yield Mobius.identity(pts[0].tower), tuple(range(n))
+            continue
         if n > 3:
             a, b, c = t
             k = 0
@@ -341,8 +341,8 @@ class TripleTable:
         sigma(D)'s first three points, so the witness is the one
         pgl2_equivalent finds."""
         moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in self.divisor]
-        base = tuple(sorted(range(len(moved)),
-                            key=lambda k: moved[k].sort_key())[:3])
+        base = tuple(sorted_by_coords(range(len(moved)), lambda k: (
+            moved[k].y, moved[k].x))[:3])
         return next(_matches(moved, base, self.divisor.points, [],
                              self.mods), None)
 

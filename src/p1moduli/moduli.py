@@ -49,6 +49,7 @@ from .qfield import (
     SubfieldPresentation,
     fixed_subtower,
     galois_group,
+    sorted_by_coords,
 )
 
 F = Fraction
@@ -231,7 +232,11 @@ def _veronese_point(p: ProjPoint):
 # ---------------------------------------------------------------------------
 
 class CompressionResult:
-    """All artifacts of the quotient-and-descend construction."""
+    """All artifacts of the quotient-and-descend construction.
+
+    ``divisor_conj`` is kappa(D) over ``tower2``, in D's order, as
+    unnormalised (x, y) pairs: kappa sends the fixed points of a generator
+    of Aut to 0 and infinity, where it acts as w -> ``zeta`` w."""
 
     __slots__ = ("m", "tower2", "zeta", "divisor_conj", "h2_group", "psi",
                  "basis_inv", "conic", "conic_gram_fom")
@@ -345,7 +350,9 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("generator order mismatch")
 
     h2, restr = _lift_subgroup(tower2, base, data.group, data.h_indices)
-    moved = [kappa(p.embed(tower2)) for p in d.points]  # kappa(D), D's order
+    # kappa(D) in D's order as unnormalised pairs: the checks cross-multiply
+    moved = [kappa.image(tower2.embed(p.x), tower2.embed(p.y))
+             for p in d.points]
 
     # twisted maps phi~ = kappa o phi o s(kappa)^-1, each the one matrix
     # product kappa phi s(kappa^-1) normalised once, send s(kappa p_k) to
@@ -357,8 +364,8 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         twisted = mat_mul(mat_mul(kmat, _matrix(data.cochain[i], tower2)),
                           mat_map(s, kinv))
         phit[k] = Mobius(*twisted[0], *twisted[1])
-        if not all(phit[k].sends(s(q.x), s(q.y), moved[j].x, moved[j].y)
-                   for q, j in zip(moved[:3], data.perms[i])):
+        if not all(phit[k].sends(s(x), s(y), *moved[j])
+                   for (x, y), j in zip(moved[:3], data.perms[i])):
             raise InternalInconsistency("twisted witness fails on moved divisor")
 
     # descend each phi~ through q(w) = w^m, psi o q = q o phi~, checked at 5
@@ -420,7 +427,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             raise InternalInconsistency("compression conic is singular")
 
     return CompressionResult(
-        m=m, tower2=tower2, zeta=zeta, divisor_conj=Divisor(moved),
+        m=m, tower2=tower2, zeta=zeta, divisor_conj=moved,
         h2_group=h2, psi=psi, basis_inv=basis_inv, conic=conic,
         conic_gram_fom=gram_fom)
 
@@ -492,8 +499,9 @@ def compressed_divisor(d: Divisor, data: ModuliData,
                        comp: CompressionResult) -> CompressedDivisor:
     """Image points of D under the quotient map, grouped into orbits of
     the twisted Galois action and written in conic coordinates."""
-    images = list(dict.fromkeys(comp.quotient_map(p)
-                                for p in comp.divisor_conj.points))
+    # in any order: the orbits partition the images and are sorted below
+    images = list(dict.fromkeys(ProjPoint(x ** comp.m, y ** comp.m)
+                                for x, y in comp.divisor_conj))
     h2 = comp.h2_group
     point_set = set(images)
     orbits = []
@@ -515,7 +523,7 @@ def compressed_divisor(d: Divisor, data: ModuliData,
                         "twisted action does not permute the image points")
                 if moved not in orbit:
                     stack.append(moved)
-        orbits.append(sorted(orbit, key=lambda q: (q.x.coords, q.y.coords)))
+        orbits.append(sorted_by_coords(orbit, lambda q: (q.x, q.y)))
         degrees.append(len(orbit))
         remaining = [y for y in remaining if y not in orbit]
     # conic coordinates: v = B^{-1} (y0^2, y0 y1, y1^2)
@@ -528,8 +536,9 @@ def compressed_divisor(d: Divisor, data: ModuliData,
             inv = lead.inverse()
             coords.append(tuple(x * inv for x in v))
         coord_orbits.append(coords)
-    order = sorted(range(len(orbits)), key=lambda t: (degrees[t],
-                   [tuple(c.coords for c in pt) for pt in coord_orbits[t]]))
+    order = sorted_by_coords(range(len(orbits)), lambda t: [
+        c for pt in coord_orbits[t] for c in pt])
+    order.sort(key=degrees.__getitem__)  # stable: by degree, then coords
     return CompressedDivisor([coord_orbits[t] for t in order],
                              [degrees[t] for t in order])
 

@@ -9,8 +9,6 @@ hashing canonical.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegenerateTriple, SingularMatrix
 from .qfield import FieldElem, FieldTower, tower_extend
 
@@ -108,8 +106,7 @@ class Mobius:
     @staticmethod
     def from_rationals(tower: FieldTower, a, b, c, d) -> "Mobius":
         fr = tower.from_rational
-        return Mobius(fr(Fraction(a)), fr(Fraction(b)),
-                      fr(Fraction(c)), fr(Fraction(d)))
+        return Mobius(fr(a), fr(b), fr(c), fr(d))
 
     @staticmethod
     def identity(tower: FieldTower) -> "Mobius":

@@ -27,7 +27,8 @@ reduced (num, den) as the general path, and since elements are immutable
 an operand can be returned as it is.
 
 ``Fraction`` appears only at the edges (``coords``, ``rad_coords``,
-``as_fraction``, ``sort_key``). Square roots, Galois groups of Galois
+``as_fraction``, ``sort_key``); sorts use ``sorted_by_coords``, whose int
+keys order as ``sort_key`` does. Square roots, Galois groups of Galois
 towers, and fixed subfields of subgroups are all computed exactly; no
 floating point appears anywhere.
 
@@ -78,7 +79,7 @@ def _reduce(nums: Sequence[int], den: int) -> Ints:
 
 
 def _ints(coords: Iterable[Fraction | int]) -> Ints:
-    fr = [Fraction(c) for c in coords]
+    fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
     den = lcm(*(f.denominator for f in fr))
     return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
@@ -301,7 +302,7 @@ class FieldTower:
     def from_rational(self, q: Fraction | int) -> "FieldElem":
         if type(q) is int:
             return FieldElem(self, (q,) + (0,) * (self.degree - 1))
-        q = Fraction(q)
+        q = q if isinstance(q, Fraction) else Fraction(q)
         return FieldElem(self, (q.numerator,) + (0,) * (self.degree - 1),
                          q.denominator)
 
@@ -531,6 +532,17 @@ class FieldElem:
         return self.coords
 
 
+def sorted_by_coords(items: Iterable, row) -> list:
+    """``items`` sorted by ``row(item)``, a row of elements of one tower,
+    as by their ``sort_key`` tuples: each row's int key is its numerators
+    scaled to the one common denominator of all the rows."""
+    items = list(items)
+    rows = [row(x) for x in items]
+    den = lcm(*(e.den for r in rows for e in r))
+    keys = [tuple(v * (den // e.den) for e in r for v in e.num) for r in rows]
+    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
+
+
 def _coords_repr(coords: Coords) -> str:
     return "[" + ", ".join(str(c) for c in coords) + "]"
 
@@ -701,8 +713,8 @@ class GaloisGroup:
     def __init__(self, tower: FieldTower, elements: tuple[GaloisAut, ...]):
         self.tower = tower
         idn = [e for e in elements if e.is_identity()]
-        rest = sorted((e for e in elements if not e.is_identity()),
-                      key=lambda e: tuple(i.coords for i in e.images))
+        rest = sorted_by_coords((e for e in elements if not e.is_identity()),
+                                lambda e: e.images)
         self.elements = tuple(idn + rest)
         by_key = {e.key(): i for i, e in enumerate(self.elements)}
         for i, e in enumerate(self.elements):

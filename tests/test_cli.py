@@ -11,8 +11,8 @@ import pytest
 
 import p1moduli
 from p1moduli import cli, intmath
-from p1moduli.cli import (divisor_json, mobius_json, parse_divisor,
-                          parse_tower, run, tower_json)
+from p1moduli.cli import (divisor_json, elem_json, mobius_json,
+                          parse_divisor, parse_tower, run, tower_json)
 from p1moduli.divisor import Divisor
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, multiquadratic_tower, tower_extend
@@ -70,6 +70,14 @@ def test_relative_radicand_round_trip():
     assert parse_tower(blob, "$") == t2
     d = Divisor([fin(t2, t2.root(1)), fin(t2, -t2.root(1)), fin(t2, 1)])
     assert parse_divisor(divisor_json(d), "$") == d
+
+
+def test_elem_json_prints_each_coordinate():
+    t = multiquadratic_tower([-1, 2])
+    for coords in ([0, 0, 0, 0], [F(-3, 4), 0, F(5, 6), -2], [F(1, 3)] * 4,
+                   [7, F(-1, 2), 0, F(2, 9)], [0, F(-6, 4), 0, 0]):
+        e = t.element(coords)
+        assert elem_json(e) == [str(c) for c in e.coords]
 
 
 def test_tower_shorthand_scalars():

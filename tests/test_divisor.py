@@ -691,11 +691,11 @@ def test_false_mod_p_matches_are_refused_exactly(monkeypatch):
     assert len(certified) > len(matched) > 0
 
 
-def test_a_trivial_aut_scan_builds_one_map(monkeypatch):
-    # the Aut scan certifies only full mod-p matches, so with trivial Aut
-    # it builds the identity alone: one map and the inverse that
-    # normalises it, where checking survivors of the first mod-p test on
-    # exact bracket rows took 16 inversions
+def test_a_trivial_aut_scan_builds_no_map(monkeypatch):
+    # the Aut scan certifies only full mod-p matches, and the base triple
+    # matched to itself is the identity, so with trivial Aut it builds no
+    # map from triples, where checking survivors of the first mod-p test
+    # on exact bracket rows took 16 inversions
     divisor_mod = importlib.import_module("p1moduli.divisor")
     d = random_tower_divisor(random.Random(1819), multiquadratic_tower([2]),
                              8)
@@ -714,7 +714,7 @@ def test_a_trivial_aut_scan_builds_one_map(monkeypatch):
     monkeypatch.setattr(divisor_mod, "mobius_from_triples", counted_build)
     monkeypatch.setattr(FieldElem, "inverse", counted_inverse)
     assert TripleTable(d).aut.order == 1
-    assert calls["maps"] == 1 and calls["inverses"] <= 2
+    assert calls["maps"] == 0 and calls["inverses"] <= 2
 
 
 def test_table_requires_three_points():

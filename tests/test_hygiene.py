@@ -85,6 +85,40 @@ def test_no_unreferenced_private_functions_in_package():
     assert unreferenced_private_functions(sources) == []
 
 
+def fraction_sort_keys(source: str) -> list[str]:
+    """Calls of ``sorted``, ``min``, ``max`` or ``.sort`` whose key reads
+    ``.coords`` or ``sort_key``. Such a key builds a tuple of Fractions
+    per item; ``qfield.sorted_by_coords`` orders the same way by ints."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("sorted", "min", "max") \
+                or isinstance(func, ast.Attribute) and func.attr == "sort":
+            if any(kw.arg == "key"
+                   and {"coords", "sort_key"} & set(mentions(kw.value))
+                   for kw in node.keywords):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_fraction_sort_key_detector():
+    src = ("a = sorted(xs, key=lambda p: (p.x.coords, p.y.coords))\n"
+           "b = min(xs, key=P.sort_key)\n"
+           "xs.sort(key=lambda m: m.sort_key())\n"
+           "c = max(xs, key=len)\n"
+           "d = sorted(p.coords for p in xs)\n"
+           "e = sorted_by_coords(xs, lambda p: (p.y, p.x))\n")
+    assert fraction_sort_keys(src) == ["line 1", "line 2", "line 3"]
+
+
+def test_no_fraction_sort_keys_in_package():
+    found = {path.name: fraction_sort_keys(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def unreferenced_public_functions(package: dict[str, str],
                                   users: dict[str, str]) -> list[str]:
     """Public module-level functions, and public methods and properties

@@ -7,9 +7,12 @@ import pytest
 from p1moduli import linalg, moduli
 from p1moduli.conic import find_point, hilbert_symbol
 from p1moduli.construct import CounterexampleSpec, gen_counterexample
+from p1moduli.decide import DEFINED_ON_P1, decide
 from p1moduli.divisor import (
     AutGroup,
     Divisor,
+    TripleTable,
+    _matches,
     compute_aut,
     conjugate_divisor,
     conjugate_mobius,
@@ -38,9 +41,10 @@ from p1moduli.qfield import (
     fixed_subtower,
     galois_group,
     multiquadratic_tower,
+    sorted_by_coords,
     tower_extend,
 )
-from test_decide import obstructed_eight
+from test_decide import obstructed_eight, twisted_six
 
 QQ = FieldTower()
 
@@ -556,6 +560,25 @@ def test_compressed_points_lie_on_conic():
                 assert val.is_zero()
 
 
+def test_kappa_divisor_is_built_only_for_orbits(monkeypatch):
+    # compression keeps kappa(D) as unnormalised pairs, and a solvable
+    # conic reads no orbits, so deciding it builds no Divisor of kappa(D)
+    solvable, obstructed = twisted_six(), obstructed_eight()
+    built = []
+    init = Divisor.__init__
+
+    def counted(self, points):
+        init(self, points)
+        built.append(set(self.points))
+
+    monkeypatch.setattr(Divisor, "__init__", counted)
+    v = decide(solvable)
+    assert v.outcome == DEFINED_ON_P1 and v.compressed is None
+    assert {ProjPoint(x, y) for x, y in v.compression.divisor_conj} \
+        not in built
+    assert decide(obstructed).compressed.degrees == [2, 2]
+
+
 def test_compressed_degree_count_matches_orbits():
     d = rational_involution_six()
     data = field_of_moduli(d)
@@ -742,3 +765,78 @@ def test_random_stable_divisors_descend(rounds=4):
             for p in d.points})
         assert sum(cd.degrees) == orbit_count
         assert find_point(comp.conic) is not None
+
+
+# ---------------------------------------------------------------------------
+# int sort keys against the Fraction sort keys
+# ---------------------------------------------------------------------------
+
+def fraction_key(row):
+    return tuple(e.sort_key() for e in row)
+
+
+def mixed_elem(rng, tower):
+    """Coordinates over denominators 1 to 12, about a third of them 0."""
+    return tower.element([F(rng.randint(-3, 3), rng.randint(1, 12))
+                          if rng.random() < 0.6 else 0
+                          for _ in range(tower.degree)])
+
+
+def octahedron():
+    """{0, oo, +-1, +-i} over Q(i); Aut is S4."""
+    t = tower_extend(QQ, F(-1)).tower
+    i = t.root(0)
+    return Divisor([fin(t, 0), fin(t, 1), fin(t, -1), ProjPoint.finite(i),
+                    ProjPoint.finite(-i), ProjPoint.infinity(t)])
+
+
+def test_int_keys_order_as_fraction_keys():
+    rng = random.Random(2424)
+    t1 = tower_extend(QQ, F(2)).tower
+    for tower in (QQ, t1, multiquadratic_tower([-1, 3]),
+                  multiquadratic_tower([-1, 2, 3]),
+                  tower_extend(t1, t1.element([2, 1])).tower):
+        # equal rows keep their order in both stable sorts
+        rows = [tuple(mixed_elem(rng, tower) for _ in range(2))
+                for _ in range(40)]
+        assert sorted_by_coords(rows, lambda r: r) == \
+            sorted(rows, key=fraction_key)
+        pts = list({ProjPoint.finite(mixed_elem(rng, tower))
+                    for _ in range(9)}) + [ProjPoint.infinity(tower)]
+        rng.shuffle(pts)
+        assert Divisor(pts).points == tuple(sorted(pts,
+                                                   key=ProjPoint.sort_key))
+        rest = galois_group(tower).elements[1:]
+        assert list(rest) == sorted(rest, key=lambda e: fraction_key(e.images))
+
+    for d in (octahedron(), q_i_pentagon(), sqrt2_five_points(),
+              biquadratic_five_points(), rational_involution_six(),
+              counterexample_eight(), obstructed_eight()):
+        table = TripleTable(d)
+        rest = table.aut.elements[1:]
+        assert list(rest) == sorted(rest,
+                                    key=lambda m: fraction_key(m.entries()))
+        for sigma in galois_group(d.tower).elements:
+            moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in d.points]
+            base = tuple(sorted(range(d.degree),
+                                key=lambda k: moved[k].sort_key())[:3])
+            assert table.galois_witness(sigma) == \
+                next(_matches(moved, base, d.points, [], []), None)
+        if not table.aut.is_cyclic():
+            continue
+        data = field_of_moduli(d, table)
+        comp = compression(d, data)
+        cd = compressed_divisor(d, data, comp)
+        keys = [(deg, [fraction_key(pt) for pt in orbit])
+                for deg, orbit in zip(cd.degrees, cd.orbits)]
+        assert keys == sorted(keys)
+        # within an orbit, conic points follow their points y on the line
+        line_point = {}
+        for x, y in comp.divisor_conj:
+            q = ProjPoint(x ** comp.m, y ** comp.m)
+            v = mat_vec(comp.basis_inv, moduli._veronese_point(q))
+            lead = next(c for c in v if c).inverse()
+            line_point[tuple(c * lead for c in v)] = q
+        for orbit in cd.orbits:
+            ys = [line_point[pt] for pt in orbit]
+            assert ys == sorted(ys, key=lambda q: (q.x.coords, q.y.coords))
