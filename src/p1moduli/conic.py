@@ -218,21 +218,17 @@ def hilbert_symbol(a, b, place: Place) -> int:
     if place == INFINITE_PLACE:
         return -1 if (ai < 0 and bi < 0) else 1
     p = place
+    alpha, u = _split_valuation(abs(ai), p)
+    beta, v = _split_valuation(abs(bi), p)
+    u = u if ai > 0 else -u
+    v = v if bi > 0 else -v
     if p == 2:
-        alpha, u = _split_valuation(abs(ai), 2)
-        beta, v = _split_valuation(abs(bi), 2)
-        u = u if ai > 0 else -u
-        v = v if bi > 0 else -v
         eps_u = ((u - 1) // 2) % 2
         eps_v = ((v - 1) // 2) % 2
         omega_u = ((u * u - 1) // 8) % 2
         omega_v = ((v * v - 1) // 8) % 2
         e = eps_u * eps_v + alpha * omega_v + beta * omega_u
         return -1 if e % 2 else 1
-    alpha, u = _split_valuation(abs(ai), p)
-    beta, v = _split_valuation(abs(bi), p)
-    u = u if ai > 0 else -u
-    v = v if bi > 0 else -v
     s = 1
     if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
         s = -s
@@ -308,11 +304,6 @@ def _solve_legendre(a: int, b: int, depth: int = 0
     return (x // g, y // g, z // g)
 
 
-def _normalize_int_point(coords: Sequence[Fraction]) -> tuple[int, int, int]:
-    s = primitive_scale(coords)
-    return tuple(int(c * s) for c in coords)
-
-
 def _coprime_reduce(a: int, b: int, c: int
                     ) -> tuple[tuple[int, int, int], list[Fraction]]:
     """Make squarefree (a,b,c) pairwise coprime; returns the new triple
@@ -363,7 +354,8 @@ def find_point(f: TernaryForm) -> Optional[tuple[int, int, int]]:
         raise InternalInconsistency("descent produced a non-point")
     back = [diag_pt[i] * mult[i] for i in range(3)]
     orig = linalg.mat_vec(basis, back)
-    point = _normalize_int_point(orig)
+    s = primitive_scale(orig)
+    point = tuple(int(c * s) for c in orig)
     if f.evaluate([Fraction(v) for v in point]) != 0:
         raise InternalInconsistency("basis mapping produced a non-point")
     return point
@@ -398,37 +390,22 @@ class Parametrization:
         return f"Parametrization({self.coeffs!r})"
 
 
-def _quartic_coeffs(q1, q2, gval):
-    """gval * (quadratic q1) * (quadratic q2) as quartic coefficients."""
-    out = [None] * 5
-    for i, u in enumerate(q1):
-        for j, v in enumerate(q2):
-            term = u * v * gval
-            k = i + j
-            out[k] = term if out[k] is None else out[k] + term
-    return out
-
-
 def parametrize(f: TernaryForm, point: Sequence[Coord]) -> Parametrization:
     """Parametrize the conic by residual intersection of lines through a
     given point of it.
 
     The point's coordinates may live in any exact field containing the
     rationals; the parametrization inherits that field. The substitution
-    identity f(X(s, t)) = 0 is verified exactly on the coefficients.
+    identity f(X(s, t)) = 0 is verified exactly: f(X(s, t)) is a binary
+    quartic form, so it is zero once it vanishes at five pairwise
+    non-proportional int parameters (s, t).
     """
     p = list(point)
     fp = f.evaluate(p)
-    if not _is_zero_val(fp):
+    if fp != 0:
         raise PointNotOnConic(f"f(p) = {fp!r} is nonzero")
-    lead = next(i for i in range(3) if not _is_zero_val(p[i]))
-    others = [i for i in range(3) if i != lead]
-    basis_vecs = []
-    for idx in others:
-        v = [Fraction(0)] * 3
-        v[idx] = Fraction(1)
-        basis_vecs.append(v)
-    u, w = basis_vecs
+    lead = next(i for i in range(3) if p[i] != 0)
+    u, w = (e for i, e in enumerate(linalg.identity(3)) if i != lead)
     fu, fw = f.evaluate(u), f.evaluate(w)
     buw = f.polar(u, w)
     bpu = f.polar(p, u)
@@ -439,24 +416,10 @@ def parametrize(f: TernaryForm, point: Sequence[Coord]) -> Parametrization:
         beta = p[i] * (2 * buw) - 2 * (bpu * w[i]) - 2 * (bpw * u[i])
         gamma = p[i] * fw - 2 * (bpw * w[i])
         coeffs.append((alpha, beta, gamma))
-    quartic = [None] * 5
-    for i in range(3):
-        for j in range(3):
-            gij = f.gram[i][j]
-            if gij == 0:
-                continue
-            part = _quartic_coeffs(coeffs[i], coeffs[j], gij)
-            for k in range(5):
-                if part[k] is None:
-                    continue
-                quartic[k] = part[k] if quartic[k] is None else quartic[k] + part[k]
-    for k in range(5):
-        if quartic[k] is not None and not _is_zero_val(quartic[k]):
-            raise InternalInconsistency("parametrization does not satisfy the form")
-    if all(_is_zero_val(c) for triple in coeffs for c in triple):
+    par = Parametrization(f, tuple(coeffs), p)
+    if any(f.evaluate(par.apply(s, t)) != 0
+           for s, t in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))):
+        raise InternalInconsistency("parametrization does not satisfy the form")
+    if all(c == 0 for triple in coeffs for c in triple):
         raise InternalInconsistency("degenerate parametrization")
-    return Parametrization(f, tuple(coeffs), p)
-
-
-def _is_zero_val(v) -> bool:
-    return v == 0
+    return par

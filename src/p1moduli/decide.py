@@ -23,8 +23,7 @@ from .divisor import AutGroup, Divisor, TripleTable
 from .errors import InternalInconsistency, NonElementaryGaloisQuotient, \
     UnsupportedAut
 from .intmath import primitive_scale
-from .linalg import det, identity, inverse, mat_add, mat_map, mat_mul, \
-    mat_vec
+from .linalg import det, identity, mat_add, mat_map, mat_mul, mat_vec
 from .moduli import CompressedDivisor, CompressionResult, ModuliData, \
     cocycle_class_to_quaternion, compressed_divisor, compression, \
     descent_cocycle, field_of_moduli
@@ -183,29 +182,26 @@ def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
 # explicit projective-line model
 # ---------------------------------------------------------------------------
 
-def _mobius_matrix(m: Mobius):
-    a, b, c, d = m.entries()
-    return [[a, b], [c, d]]
-
-
-def binary_form_coefficients(d: Divisor) -> list:
-    """Coefficients of prod (y_i X - x_i Y), highest X-power first."""
-    one = d.tower.one()
-    coeffs = [one]
-    for p in d.points:
-        nxt = [p.y * c for c in coeffs] + [d.tower.zero()]
+def binary_form_coefficients(pairs) -> list:
+    """Coefficients of prod (y_i X - x_i Y) over the pairs (x_i, y_i),
+    highest X-power first."""
+    tower = pairs[0][0].tower
+    coeffs = [tower.one()]
+    for x, y in pairs:
+        nxt = [y * c for c in coeffs] + [tower.zero()]
         for k, c in enumerate(coeffs):
-            nxt[k + 1] = nxt[k + 1] - p.x * c
+            nxt[k + 1] = nxt[k + 1] - x * c
         coeffs = nxt
     return coeffs
 
 
 def _rational_form(coeffs) -> list[Fraction]:
-    # the first nonzero coefficient of the form of normalised points is
-    # +-1, so the form is rational exactly when its divisor is stable
-    # under the Galois group
+    # scaled so that its first nonzero coefficient is 1, the form is
+    # rational exactly when its divisor is stable under the Galois group
+    lead = next(c for c in coeffs if not c.is_zero()).inverse()
     out = []
     for c in coeffs:
+        c = c * lead
         if not c.is_rational():
             raise InternalInconsistency("descended divisor not stable")
         out.append(c.as_fraction())
@@ -228,8 +224,8 @@ def build_p1_model(d: Divisor, data: ModuliData, comp: CompressionResult,
         raise ValueError("model construction implemented over Q only")
     h = data.h_indices
     if len(h) == 1:
-        return _rational_form(binary_form_coefficients(d)), \
-            Mobius.identity(d.tower)
+        return _rational_form(binary_form_coefficients(
+            [(p.x, p.y) for p in d.points])), Mobius.identity(d.tower)
     if len(h) == 2:
         return _norm_equation_model(d, data)
     if data.aut.order == 1:
@@ -247,7 +243,7 @@ def _norm_equation_model(d: Divisor, data: ModuliData
     sigma = data.group.elements[si]
     phi = data.cochain[si]
     for a in data.aut.elements:
-        p = _mobius_matrix(a.compose(phi))
+        p = a.compose(phi).matrix(tower)
         k = mat_mul(p, mat_map(sigma, p))
         lam = k[0][0]
         if k[0][1] or k[1][0] or k[0][0] != k[1][1]:
@@ -279,10 +275,9 @@ def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
     such points then has phi_s s(M) = M, so M^{-1}(D) is Galois-stable."""
     tower = d.tower
     par = parametrize(comp.conic, point)
-    basis = inverse(comp.basis_inv)
     zs = []
     for s, t in ((0, 1), (1, 0), (1, 1)):
-        w = mat_vec(basis, par.apply(F(s), F(t)))
+        w = mat_vec(comp.basis, par.apply(s, t))
         zs.append(ProjPoint(w[1], w[2]) if w[0].is_zero()
                   else ProjPoint(w[0], w[1]))
     std = (ProjPoint.finite(tower.zero()), ProjPoint.finite(tower.one()),
@@ -292,9 +287,11 @@ def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
 
 def _descended_model(d: Divisor, mob: Mobius
                      ) -> tuple[list[Fraction], Mobius]:
-    """The rational form of D0 = mob^{-1}(D), with mob."""
-    d0 = d.apply(mob.inverse())
-    return _rational_form(binary_form_coefficients(d0)), mob
+    """The rational form of D0 = mob^{-1}(D), read off its image pairs,
+    with mob."""
+    inv = mob.inverse()
+    return _rational_form(binary_form_coefficients(
+        [inv.image(p.x, p.y) for p in d.points])), mob
 
 
 def _find_invertible(p, sigma, tower):
@@ -359,14 +356,17 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
             return _fail("form coefficients not rational")
         if not any(coeffs):
             return _fail("the zero form vanishes everywhere")
-        d0 = d.apply(cert.mobius.inverse())
+        inv = cert.mobius.inverse()
         coeffs = [d.tower.from_rational(c) for c in coeffs]
-        for p in d0.points:
-            # Horner's rule at (x : 1); at (1 : 0) only c_0 survives
+        for p in d.points:
+            # Horner's rule at x / y for the image (x : y) of p; at
+            # (x : 0) only c_0 survives
+            x, y = inv.image(p.x, p.y)
             val = coeffs[0]
-            if not p.is_infinity():
+            if not y.is_zero():
+                z = x / y
                 for c in coeffs[1:]:
-                    val = val * p.x + c
+                    val = val * z + c
             if not val.is_zero():
                 return _fail("form does not vanish on the descended divisor")
         return VerifyResult(True)

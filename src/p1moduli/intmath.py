@@ -4,9 +4,9 @@ modular square roots, squarefree parts.
 Factorization runs trial division up to a bound and then Brent's cycle
 variant of Pollard rho on what is left. Trial division stops early once
 the cofactor is a prime or the square of one. Inputs that resist both
-raise FactorizationTooLarge rather than silently stalling. A call that
-gives no trial bound uses the context variable ``trial_bound``, which the
-command line sets from ``--factor-bound`` for one request.
+raise FactorizationTooLarge rather than silently stalling. The trial
+bound is the context variable ``trial_bound``, which the command line
+sets from ``--factor-bound`` for one request.
 """
 
 from __future__ import annotations
@@ -86,21 +86,20 @@ def _brent_rho(n: int, rng: random.Random) -> int:
     return 0
 
 
-def factorint(n: int, factor_bound: int | None = None) -> dict[int, int]:
+def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; ignores the sign.
 
     Raises FactorizationTooLarge when a composite cofactor survives both
-    trial division and Pollard rho. Trial division tests the cofactor
-    before it starts and after each factor it finds, the only times the
-    cofactor changes, and stops when the cofactor is p or p^2 for a prime
-    p. Below MR_EXACT_BOUND that test is exact, and the result is the
+    trial division up to ``trial_bound`` and Pollard rho. Trial division
+    tests the cofactor before it starts and after each factor it finds,
+    the only times the cofactor changes, and stops when the cofactor is p
+    or p^2 for a prime p. Below MR_EXACT_BOUND that test is exact, and the result is the
     one full trial division would reach; above it the test is skipped.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("factorint(0)")
-    if factor_bound is None:
-        factor_bound = trial_bound.get()
+    factor_bound = trial_bound.get()
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:

@@ -3,9 +3,9 @@
 Entries may be ints, Fractions or tower ``FieldElem``s, mixed with
 rational scalars. The ring routines never divide, and their sums start
 from the first term, so a tower matrix keeps tower entries; ``inverse``
-divides once, by the determinant. The elimination routines ``rref``,
-``kernel_basis`` and ``solve`` pivot by Fraction division and are used
-over Q only.
+divides once, by the determinant. The elimination routines ``rref`` and
+``kernel_basis`` pivot by Fraction division and are used over Q only;
+a kernel of (columns | x) also gives the coordinates of x in the columns.
 """
 
 from __future__ import annotations
@@ -128,19 +128,3 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         basis.append(v)
     return basis
 
-
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One solution of m x = b, or None when inconsistent.
-
-    Works for rectangular systems; free variables are set to zero.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i][:] + [b[i]] for i in range(rows)]
-    a, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x

@@ -236,10 +236,12 @@ class CompressionResult:
 
     ``divisor_conj`` is kappa(D) over ``tower2``, in D's order, as
     unnormalised (x, y) pairs: kappa sends the fixed points of a generator
-    of Aut to 0 and infinity, where it acts as w -> ``zeta`` w."""
+    of Aut to 0 and infinity, where it acts as w -> ``zeta`` w. ``basis``
+    is the descent basis B, whose columns span the fixed Veronese 3-space;
+    the conic is B^T Q B."""
 
     __slots__ = ("m", "tower2", "zeta", "divisor_conj", "h2_group", "psi",
-                 "basis_inv", "conic", "conic_gram_fom")
+                 "basis", "conic", "conic_gram_fom")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -303,12 +305,6 @@ def _lift_subgroup(tower2: FieldTower, base: FieldTower, group: GaloisGroup,
     return g2, restr
 
 
-def _matrix(m: Mobius, tower: FieldTower):
-    """The entries of m, embedded in tower, as a 2x2 matrix."""
-    e = tower.embed
-    return [[e(m.a), e(m.b)], [e(m.c), e(m.d)]]
-
-
 def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     """The conic model of P1/Aut over the field of moduli.
 
@@ -337,10 +333,10 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
         gen = aut.generator()
         (p_plus, p_minus), tower2 = fixed_points(gen)
         kappa = Mobius(p_plus.y, -p_plus.x, p_minus.y, -p_minus.x)
-    kmat, kinv = _matrix(kappa, tower2), _matrix(kappa.inverse(), tower2)
+    kmat, kinv = kappa.matrix(tower2), kappa.inverse().matrix(tower2)
     zeta = tower2.one()
     if m > 1:
-        (a, b), (c, e) = mat_mul(mat_mul(kmat, _matrix(gen, tower2)), kinv)
+        (a, b), (c, e) = mat_mul(mat_mul(kmat, gen.matrix(tower2)), kinv)
         if not (b.is_zero() and c.is_zero()):
             raise InternalInconsistency("conjugated generator is not diagonal")
         # w -> zeta w has order m exactly when zeta is a primitive m-th
@@ -361,7 +357,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
     phit: dict[int, Mobius] = {}
     for k, s in enumerate(h2.elements):
         i = restr[k]
-        twisted = mat_mul(mat_mul(kmat, _matrix(data.cochain[i], tower2)),
+        twisted = mat_mul(mat_mul(kmat, data.cochain[i].matrix(tower2)),
                           mat_map(s, kinv))
         phit[k] = Mobius(*twisted[0], *twisted[1])
         if not all(phit[k].sends(s(x), s(y), *moved[j])
@@ -411,7 +407,6 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
             basis_cols = trial
     if len(basis_cols) < 3:
         raise DescentFailure("fixed space has dimension < 3")
-    basis_inv = inverse(transpose(basis_cols))
 
     # conic = B^T Q B, entries provably in the field of moduli
     gram2 = [[_veronese_q(basis_cols[i], basis_cols[j]) for j in range(3)]
@@ -428,7 +423,7 @@ def compression(d: Divisor, data: ModuliData) -> CompressionResult:
 
     return CompressionResult(
         m=m, tower2=tower2, zeta=zeta, divisor_conj=moved,
-        h2_group=h2, psi=psi, basis_inv=basis_inv, conic=conic,
+        h2_group=h2, psi=psi, basis=transpose(basis_cols), conic=conic,
         conic_gram_fom=gram_fom)
 
 
@@ -444,9 +439,9 @@ def _assert_cocycle(group: GaloisGroup, gens: list[int],
     Mobius map psi_st is 1, so u ~ psi_st says u = u[lead] psi_st.
     """
     for s in gens:
-        sigma, ps = group.elements[s], _matrix(psi[s], group.tower)
+        sigma, ps = group.elements[s], psi[s].matrix(group.tower)
         for t, pt in psi.items():
-            prod = mat_mul(ps, mat_map(sigma, _matrix(pt, group.tower)))
+            prod = mat_mul(ps, mat_map(sigma, pt.matrix(group.tower)))
             u, target = prod[0] + prod[1], psi[group.table[s][t]].entries()
             lam = u[next(j for j in range(4) if target[j])]
             if not lam or any(x != lam * y for x, y in zip(u, target)):
@@ -527,11 +522,12 @@ def compressed_divisor(d: Divisor, data: ModuliData,
         degrees.append(len(orbit))
         remaining = [y for y in remaining if y not in orbit]
     # conic coordinates: v = B^{-1} (y0^2, y0 y1, y1^2)
+    basis_inv = inverse(comp.basis)
     coord_orbits = []
     for orbit in orbits:
         coords = []
         for y in orbit:
-            v = mat_vec(comp.basis_inv, _veronese_point(y))
+            v = mat_vec(basis_inv, _veronese_point(y))
             lead = next(x for x in v if not x.is_zero())
             inv = lead.inverse()
             coords.append(tuple(x * inv for x in v))

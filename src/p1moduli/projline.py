@@ -124,6 +124,11 @@ class Mobius:
     def entries(self) -> tuple[FieldElem, FieldElem, FieldElem, FieldElem]:
         return (self.a, self.b, self.c, self.d)
 
+    def matrix(self, tower: FieldTower) -> list[list[FieldElem]]:
+        """The entries, embedded in ``tower``, as a 2x2 matrix."""
+        e = tower.embed
+        return [[e(self.a), e(self.b)], [e(self.c), e(self.d)]]
+
     def det(self) -> FieldElem:
         return self.a * self.d - self.b * self.c
 

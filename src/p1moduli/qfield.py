@@ -42,7 +42,7 @@ Other elements (as in Q(sqrt(2 + sqrt 2))) act by a basis-image matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -155,12 +155,8 @@ def _sqrt(x: Sequence[int], den: int, tower: "FieldTower") -> Ints | None:
     """Some square root of x / den in the prefix of its length, or None."""
     n = len(x)
     if n == 1:
-        g = gcd(x[0], den)
-        p, q = x[0] // g, den // g
-        if p < 0:
-            return None
-        rp, rq = isqrt(p), isqrt(q)
-        return ((rp,), rq) if rp * rp == p and rq * rq == q else None
+        r = fraction_sqrt(Fraction(x[0], den))
+        return None if r is None else ((r.numerator,), r.denominator)
     h = n // 2
     a, b = tuple(x[:h]), tuple(x[h:])
     zeros = (0,) * h
@@ -855,16 +851,17 @@ class SubfieldPresentation:
             raise ValueError("element does not live in the parent tower")
         if self.tower == self.parent:   # the whole tower, basis e_0..e_n
             return x
-        if self.tower.level == 0:
-            if not x.is_rational():
-                raise ValueError("element is not fixed by the subgroup")
+        if x.is_rational():   # basis_images[0] is 1
             return self.tower.from_rational(x.as_fraction())
-        cols = [list(img.coords) for img in self.basis_images]
-        m = linalg.transpose(cols)
-        sol = linalg.solve(m, list(x.coords))
-        if sol is None:
+        if self.tower.level == 0:
             raise ValueError("element is not fixed by the subgroup")
-        return self.tower.element(sol)
+        # the images are independent, so the kernel of (images | x) is
+        # spanned by (-c, 1) for the coordinates c of x, or is empty
+        cols = [img.coords for img in self.basis_images] + [x.coords]
+        kernel = linalg.kernel_basis(linalg.transpose(cols))
+        if not kernel:
+            raise ValueError("element is not fixed by the subgroup")
+        return self.tower.element([-c for c in kernel[0][:-1]])
 
 
 def _action_matrix(aut: GaloisAut) -> tuple[linalg.Matrix, int]:
@@ -902,9 +899,6 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
     """
     tower = group.tower
     sub = group.subgroup_closure(subgroup)
-    if len(sub) == len(group.elements):
-        qq = FieldTower.rationals()
-        return SubfieldPresentation(qq, [tower.one()], tower)
     if len(sub) == 1:
         basis = [tower.element([int(i == m) for i in range(tower.degree)])
                  for m in range(tower.degree)]
@@ -946,15 +940,12 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
                 break
         else:
             raise InternalInconsistency("fixed-space vector collapsed")
-        d = y * y
-        if d.is_rational():   # basis_images[0] is 1
-            rad = subtower.from_rational(d.as_fraction())
-        else:
-            cols = [list(img.coords) for img in basis_images]
-            sol = linalg.solve(linalg.transpose(cols), list(d.coords))
-            if sol is None:
-                raise InternalInconsistency("radicand not in current subfield")
-            rad = subtower.element(sol)
+        try:
+            rad = SubfieldPresentation(subtower, basis_images, tower) \
+                .restrict(y * y)
+        except ValueError:
+            raise InternalInconsistency(
+                "radicand not in current subfield") from None
         ext = tower_extend(subtower, rad)
         if not ext.extended:
             raise InternalInconsistency("chain step radicand was a square")

@@ -371,10 +371,9 @@ def test_factor_bound_reaches_every_factorization(tmp_path, capsys,
     seen = []
     real = intmath.factorint
 
-    def spy(n, factor_bound=None):
-        seen.append(intmath.trial_bound.get() if factor_bound is None
-                    else factor_bound)
-        return real(n, factor_bound)
+    def spy(n):
+        seen.append(intmath.trial_bound.get())
+        return real(n)
 
     # derived, so a module that starts or stops factorising is not missed
     for module in factorint_modules():

@@ -520,3 +520,31 @@ def test_parametrize_tower_point():
     par = parametrize(f, p)
     img = par.apply(t.from_rational(2), t.from_rational(5))
     assert f.evaluate(img) == 0
+
+
+@pytest.mark.parametrize("tower_point", [False, True])
+@pytest.mark.parametrize("pos", range(9))
+def test_parametrize_refuses_a_spoiled_parametrization(monkeypatch, pos,
+                                                       tower_point):
+    # one coefficient of X(s, t) moved by 1 breaks f(X(s, t)) = 0, and the
+    # five-point check must see it whichever coefficient it is
+    from p1moduli.qfield import multiquadratic_tower
+    conic_mod = importlib.import_module("p1moduli.conic")
+    if tower_point:
+        t = multiquadratic_tower([3])
+        f = TernaryForm.diagonal(1, 1, -3)
+        point = [t.root(0), t.zero(), t.one()]
+    else:
+        f = TernaryForm.diagonal(1, 1, -1)
+        point = [F(1), F(0), F(1)]
+
+    class Spoiled(conic_mod.Parametrization):
+        def __init__(self, form, coeffs, base):
+            rows = [list(row) for row in coeffs]
+            rows[pos // 3][pos % 3] = rows[pos // 3][pos % 3] + 1
+            super().__init__(form, tuple(map(tuple, rows)), base)
+
+    monkeypatch.setattr(conic_mod, "Parametrization", Spoiled)
+    with pytest.raises(InternalInconsistency,
+                       match="parametrization does not satisfy the form"):
+        parametrize(f, point)

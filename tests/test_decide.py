@@ -275,7 +275,7 @@ def test_build_p1_model_form_vanishes():
 
 def test_binary_form_matches_rational_roots():
     d = rational_divisor(1, -1, 2)
-    coeffs = binary_form_coefficients(d)
+    coeffs = binary_form_coefficients([(p.x, p.y) for p in d.points])
     vals = [c.as_fraction() for c in coeffs]
     # (X - Y)(X + Y)(X - 2Y) = X^3 - 2X^2 Y - X Y^2 + 2 Y^3
     assert vals == [F(1), F(-2), F(-1), F(2)]
@@ -578,7 +578,7 @@ def test_p1_model_form_checked_at_infinity():
     assert v.certificate.mobius.is_identity()
     assert v.certificate.form[0] == 0
     assert verify_certificate(d, v)
-    g = binary_form_coefficients(Divisor(finite))
+    g = binary_form_coefficients([(p.x, p.y) for p in finite])
     v.certificate.form = [c.as_fraction() for c in g] + [F(0)]
     res = verify_certificate(d, v)
     assert not res and "does not vanish" in res.reason

@@ -125,11 +125,14 @@ def test_factor_bound_limits_trial_division(monkeypatch):
     assert factorint(n) == {1009: 1, 1013: 1}
     assert calls == []
     # trial division stops at the bound; Pollard rho splits the rest
-    assert factorint(n, factor_bound=100) == {1009: 1, 1013: 1}
-    assert calls == [n]
-    assert factorint(30 * n, factor_bound=100) == \
-        {2: 1, 3: 1, 5: 1, 1009: 1, 1013: 1}
-    assert calls == [n, n]
+    token = intmath.trial_bound.set(100)
+    try:
+        assert factorint(n) == {1009: 1, 1013: 1}
+        assert calls == [n]
+        assert factorint(30 * n) == {2: 1, 3: 1, 5: 1, 1009: 1, 1013: 1}
+        assert calls == [n, n]
+    finally:
+        intmath.trial_bound.reset(token)
 
 
 def test_factorint_rejects_zero():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from p1moduli import linalg
-from p1moduli.errors import NotGalois, NoInverse, ZeroRadicand
+from p1moduli.errors import InternalInconsistency, NotGalois, NoInverse, \
+    ZeroRadicand
 from p1moduli.intmath import is_probable_prime
 from p1moduli.qfield import (
     FieldElem,
@@ -304,10 +305,10 @@ def test_fixed_subtower_trivial_group_is_everything():
 def test_restrict_to_q_and_whole_tower_needs_no_elimination(monkeypatch):
     # Q and the whole tower are read off the coordinates: a member comes
     # back, a non-member raises, and no linear system is solved
-    def no_solve(*args):
+    def no_rref(*args):
         raise AssertionError("restrict eliminated")
 
-    monkeypatch.setattr(linalg, "solve", no_solve)
+    monkeypatch.setattr(linalg, "rref", no_rref)
     t = multiquadratic_tower([-1, 2, 5])
     g = galois_group(t)
     q_pres = fixed_subtower(g, range(g.order))
@@ -334,9 +335,27 @@ def test_fixed_subtower_index_two():
     assert pres.tower.rational_radicands() == [F(2)]
     r2 = pres.embed(pres.tower.root(0))
     assert r2 * r2 == t.from_rational(2)
-    # restrict of fixed elements round-trips
+    # restrict of fixed elements round-trips; sqrt 3 is not one of them
     x = t.from_rational(3) + 5 * r2
     assert pres.embed(pres.restrict(x)) == x
+    for y in (t.root(1), x + t.root(0) * t.root(1)):
+        with pytest.raises(ValueError, match="not fixed by the subgroup"):
+            pres.restrict(y)
+
+
+def test_fixed_subtower_refuses_a_radicand_outside_the_subfield(monkeypatch):
+    # a chain step whose vector is not fixed by the smaller group squares
+    # to an irrational radicand while the current subfield is still Q
+    import p1moduli.qfield as qfield
+    t = multiquadratic_tower([2, 3])
+    g = galois_group(t)
+    monkeypatch.setattr(qfield, "_fixed_space",
+                        lambda group, indices: [[0, 1, 1, 1]])
+    # sqrt 2 + sqrt 3 + sqrt 6 minus any nontrivial conjugate squares to
+    # an irrational element
+    with pytest.raises(InternalInconsistency,
+                       match="radicand not in current subfield"):
+        fixed_subtower(g, [1])
 
 
 def test_fixed_subtower_diagonal_subgroup():
