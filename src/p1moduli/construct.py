@@ -17,8 +17,7 @@ from typing import Sequence
 from .conic import Parametrization, TernaryForm, find_point, hasse_solvable, \
     parametrize
 from .decide import DEFINED_ON_CONIC, NOT_DEFINED, Verdict, decide
-from .divisor import AutGroup, Divisor, TripleTable, compute_aut, \
-    conjugate_divisor
+from .divisor import AutGroup, Divisor, compute_aut, conjugate_divisor
 from .errors import BadDegree, GenusTooSmall, HypothesesNotMet, \
     InternalInconsistency, NotAnInvolution, RetriesExhausted, SplitSymbol, \
     TangentLine
@@ -292,8 +291,7 @@ def gen_counterexample(spec: CounterexampleSpec,
         if built is None:
             continue
         big, sqrt_b, divisor = built
-        table = TripleTable(divisor)
-        aut = table.aut
+        aut = compute_aut(divisor)
         deck = Mobius.from_rationals(big, -1, 0, 0, 1)
         try:
             deck_in = aut.index_of(deck)
@@ -308,7 +306,7 @@ def gen_counterexample(spec: CounterexampleSpec,
         data = DoubleCoverData(spec, conic, par, nu, p0, pbar, sections,
                                divisor, deck)
         _check_cover(data, big)
-        verdict = decide(divisor, table)
+        verdict = decide(divisor)
         if verdict.outcome != NOT_DEFINED or not verdict.fom.rationals_only():
             raise InternalInconsistency(
                 "generated divisor does not realize the obstruction")

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .conic import PlaceEval, TernaryForm, diagonalize, find_point, \
     hasse_solvable, hilbert_symbol, parametrize
-from .divisor import AutGroup, Divisor, TripleTable
+from .divisor import AutGroup, Divisor
 from .errors import InternalInconsistency, NonElementaryGaloisQuotient, \
     UnsupportedAut
 from .intmath import primitive_scale
@@ -106,12 +106,10 @@ class Verdict:
         return f"Verdict({self.outcome}, aut={self.aut_class.label()})"
 
 
-def decide(d: Divisor, table: Optional[TripleTable] = None) -> Verdict:
-    """Full pipeline: Aut, field of moduli, fast paths, then the conic.
-    Pass the TripleTable of D to reuse a scan already made."""
-    if d.degree < 3:
-        raise ValueError("need at least three points")
-    data = field_of_moduli(d, table)
+def decide(d: Divisor) -> Verdict:
+    """Full pipeline: Aut (scanned once per divisor object and kept by
+    it), field of moduli, fast paths, then the conic."""
+    data = field_of_moduli(d)
     aut = data.aut
     n = d.degree
 
@@ -196,15 +194,12 @@ def binary_form_coefficients(pairs) -> list:
 
 
 def _rational_form(coeffs) -> list[Fraction]:
-    # scaled so that its first nonzero coefficient is 1, the form is
-    # rational exactly when its divisor is stable under the Galois group
-    lead = next(c for c in coeffs if not c.is_zero()).inverse()
-    out = []
-    for c in coeffs:
-        c = c * lead
-        if not c.is_rational():
-            raise InternalInconsistency("descended divisor not stable")
-        out.append(c.as_fraction())
+    # the form of normalised points has first nonzero coefficient +-1, so
+    # it is rational exactly when its divisor is stable under the Galois
+    # group; it is rescaled to a primitive integer form
+    if not all(c.is_rational() for c in coeffs):
+        raise InternalInconsistency("descended divisor not stable")
+    out = [c.as_fraction() for c in coeffs]
     s = primitive_scale(out)
     return [c * s for c in out]
 
@@ -224,8 +219,7 @@ def build_p1_model(d: Divisor, data: ModuliData, comp: CompressionResult,
         raise ValueError("model construction implemented over Q only")
     h = data.h_indices
     if len(h) == 1:
-        return _rational_form(binary_form_coefficients(
-            [(p.x, p.y) for p in d.points])), Mobius.identity(d.tower)
+        return _descended_model(d, Mobius.identity(d.tower))
     if len(h) == 2:
         return _norm_equation_model(d, data)
     if data.aut.order == 1:
@@ -287,11 +281,10 @@ def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
 
 def _descended_model(d: Divisor, mob: Mobius
                      ) -> tuple[list[Fraction], Mobius]:
-    """The rational form of D0 = mob^{-1}(D), read off its image pairs,
-    with mob."""
-    inv = mob.inverse()
+    """The rational form of D0 = mob^{-1}(D), read off its normalised
+    points, with mob."""
     return _rational_form(binary_form_coefficients(
-        [inv.image(p.x, p.y) for p in d.points])), mob
+        [(p.x, p.y) for p in map(mob.inverse(), d.points)])), mob
 
 
 def _find_invertible(p, sigma, tower):

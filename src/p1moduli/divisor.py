@@ -34,7 +34,7 @@ from .qfield import GaloisAut, sorted_by_coords
 class Divisor:
     """A set of distinct points of the projective line over one tower."""
 
-    __slots__ = ("points", "tower", "_set", "_hash")
+    __slots__ = ("points", "tower", "_set", "_hash", "_aut", "_mods")
 
     def __init__(self, points: Iterable[ProjPoint]):
         pts = list(points)
@@ -50,6 +50,8 @@ class Divisor:
         self.tower = tower
         self._set = frozenset(self.points)
         self._hash = None
+        self._aut = None
+        self._mods = []
 
     @property
     def degree(self) -> int:
@@ -75,6 +77,30 @@ class Divisor:
 
     def apply(self, m: Mobius) -> "Divisor":
         return Divisor(m(p) for p in self.points)
+
+    @property
+    def aut(self) -> "AutGroup":
+        """Aut(P1, D) over the divisor's tower, from one scan of the
+        ordered triples on first use; the scan keeps the points reduced
+        mod the split primes it tried (``_mods``) for galois_witness."""
+        if self._aut is None:
+            if self.degree < 3:
+                raise DegreeTooSmall(
+                    f"need at least 3 points, got {self.degree}")
+            pts = self.points
+            self._aut = AutGroup(_matches(pts, (0, 1, 2), pts, self._mods,
+                                          self._mods))
+        return self._aut
+
+    def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
+        """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with
+        phi(sigma(p_k)) = p_{pi[k]}; or None. The base is the preimage of
+        sigma(D)'s first three points, so the witness is the one
+        pgl2_equivalent finds."""
+        moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in self.points]
+        base = tuple(sorted_by_coords(range(len(moved)), lambda k: (
+            moved[k].y, moved[k].x))[:3])
+        return next(_matches(moved, base, self.points, [], self._mods), None)
 
 
 def conjugate_divisor(sigma: GaloisAut, d: Divisor) -> Divisor:
@@ -319,43 +345,15 @@ def _matches(src, base, pts, src_mods, mods):
             yield m, tuple(map(perm.get, range(n)))
 
 
-class TripleTable:
-    """The points of a divisor reduced mod its split primes (``mods``) and
-    the stabilizer ``aut``, from one full scan; each Galois witness search
-    reads the kept residues for its target side. Not cached."""
-
-    __slots__ = ("divisor", "mods", "aut")
-
-    def __init__(self, d: Divisor):
-        if d.degree < 3:
-            raise DegreeTooSmall(f"need at least 3 points, got {d.degree}")
-        pts = d.points
-        self.divisor = d
-        self.mods = []
-        self.aut = AutGroup(_matches(pts, (0, 1, 2), pts, self.mods,
-                                     self.mods))
-
-    def galois_witness(self, sigma: GaloisAut) -> Optional[tuple]:
-        """pgl2_equivalent(sigma(D), D) and its permutation pi of D, with
-        phi(sigma(p_k)) = p_{pi[k]}; or None. The base is the preimage of
-        sigma(D)'s first three points, so the witness is the one
-        pgl2_equivalent finds."""
-        moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in self.divisor]
-        base = tuple(sorted_by_coords(range(len(moved)), lambda k: (
-            moved[k].y, moved[k].x))[:3])
-        return next(_matches(moved, base, self.divisor.points, [],
-                             self.mods), None)
-
-
 def compute_aut(d: Divisor) -> AutGroup:
     """The stabilizer of the point set inside the Mobius group over the
-    divisor's own tower.
+    divisor's own tower: ``d.aut``, scanned once per divisor object.
 
     Complete for stabilizer elements defined over that tower: any such
     map is determined by the ordered triple it sends the base triple to,
     and the scan tries every triple.
     """
-    return TripleTable(d).aut
+    return d.aut
 
 
 def _padded_triple(d: Divisor) -> list[ProjPoint]:

@@ -4,7 +4,8 @@ The field of moduli of (P1, D) is the fixed field of the subgroup H of
 Galois elements sigma for which sigma(D) is Mobius-equivalent to D. A
 witness cochain phi_sigma with phi_sigma(sigma(D)) = D realizes the
 descent data; its coboundary defect is a 2-cocycle valued in Aut(P1, D).
-Aut and every witness come from scans of the one bracket table of D.
+Aut and every witness come from scans of D's points reduced mod its
+split primes, kept by D itself.
 
 For cyclic Aut of order m the quotient by Aut is computed literally: a
 generator is conjugated to w -> zeta w by sending its fixed points to 0
@@ -21,15 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .conic import TernaryForm
-from .divisor import (
-    AutGroup,
-    Divisor,
-    TripleTable,
-    conjugate_mobius,
-)
+from .divisor import AutGroup, Divisor, conjugate_mobius
 from .errors import (
     DescentFailure,
     InternalInconsistency,
@@ -59,11 +55,11 @@ class ModuliData:
     """H, the witnesses and their permutations of D, fom and Aut(P1, D)."""
 
     __slots__ = ("group", "h_indices", "cochain", "perms", "fom", "fom_is_q",
-                 "divisor", "aut")
+                 "divisor")
 
     def __init__(self, group: GaloisGroup, h_indices: tuple[int, ...],
                  cochain: dict[int, Mobius], perms: dict[int, tuple],
-                 fom: SubfieldPresentation, divisor: Divisor, aut: AutGroup):
+                 fom: SubfieldPresentation, divisor: Divisor):
         self.group = group
         self.h_indices = h_indices
         self.cochain = cochain
@@ -71,30 +67,29 @@ class ModuliData:
         self.fom = fom
         self.fom_is_q = fom.tower.level == 0
         self.divisor = divisor
-        self.aut = aut
+
+    @property
+    def aut(self) -> AutGroup:
+        return self.divisor.aut
 
     def __repr__(self) -> str:
         return (f"ModuliData(|H|={len(self.h_indices)}, "
                 f"fom_degree={self.fom.tower.degree})")
 
 
-def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
-                    ) -> ModuliData:
+def field_of_moduli(d: Divisor) -> ModuliData:
     """H = {sigma : sigma(D) ~ D}, one equivalence witness per element
     with its permutation pi of D, phi_sigma(sigma(p_k)) = p_{pi(k)}, and
     the fixed field of H.
 
-    Each witness is the first match of sigma(D)'s signature in the
-    triple table of D (built here unless given). Cosets are eliminated
-    in blocks: once sigma is known to lie outside H, so does its entire
-    coset sigma H; witnesses for products come from composing known
-    witnesses instead of searching again. The result carries the
-    table's Aut.
+    D's Aut is scanned first unless D already holds it, and each witness
+    is the first match of sigma(D)'s signature among D's ordered triples,
+    on the residues that scan kept (``Divisor.galois_witness``). Cosets
+    are eliminated in blocks: once sigma is known to lie outside H, so
+    does its entire coset sigma H; witnesses for products come from
+    composing known witnesses instead of searching again.
     """
-    if table is None:
-        table = TripleTable(d)
-    elif table.divisor != d:
-        raise ValueError("triple table of another divisor")
+    d.aut  # DegreeTooSmall below three points, before any witness search
     group = galois_group(d.tower)
     n = group.order
     cochain: dict[int, Mobius] = {0: Mobius.identity(d.tower)}
@@ -103,7 +98,7 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
     for i in range(1, n):
         if i in cochain or i in not_in_h:
             continue
-        hit = table.galois_witness(group.elements[i])
+        hit = d.galois_witness(group.elements[i])
         if hit is None:
             not_in_h.update(group.table[i][j] for j in cochain)
             continue
@@ -137,7 +132,7 @@ def field_of_moduli(d: Divisor, table: Optional[TripleTable] = None
                 for p, k in zip(pts[:3], pi)):
             raise InternalInconsistency("witness does not carry sigma(D) to D")
     fom = fixed_subtower(group, h)
-    return ModuliData(group, h, cochain, perms, fom, d, table.aut)
+    return ModuliData(group, h, cochain, perms, fom, d)
 
 
 # ---------------------------------------------------------------------------

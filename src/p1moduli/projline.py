@@ -129,9 +129,6 @@ class Mobius:
         e = tower.embed
         return [[e(self.a), e(self.b)], [e(self.c), e(self.d)]]
 
-    def det(self) -> FieldElem:
-        return self.a * self.d - self.b * self.c
-
     def image(self, x: FieldElem, y: FieldElem) -> tuple[FieldElem, FieldElem]:
         """The image of (x : y) as an unnormalised pair."""
         return self.a * x + self.b * y, self.c * x + self.d * y
@@ -213,11 +210,6 @@ def _triple_matrix(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint):
     if not (nu and mu and bracket(p3, p1)):
         raise DegenerateTriple("points of the triple coincide")
     return nu * p3.x, mu * p1.x, nu * p3.y, mu * p1.y
-
-
-def mobius_to_triple(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Mobius:
-    """The Mobius taking (0, 1, inf) to (p1, p2, p3)."""
-    return Mobius(*_triple_matrix(p1, p2, p3))
 
 
 def mobius_from_triples(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,

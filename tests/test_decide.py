@@ -16,7 +16,8 @@ from p1moduli.decide import (
     Certificate, binary_form_coefficients, build_p1_model, decide,
     verify_certificate)
 from p1moduli.divisor import Divisor, compute_aut, conjugate_divisor
-from p1moduli.errors import InternalInconsistency, UnsupportedAut
+from p1moduli.errors import DegreeTooSmall, InternalInconsistency, \
+    UnsupportedAut
 from p1moduli.moduli import compression, field_of_moduli
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldElem, FieldTower, galois_group, \
@@ -113,8 +114,7 @@ def c2_symmetric_divisor(seed):
               for _ in range(1 + seed % 2)]
         vals = orbit + [-v for v in orbit] + rs + [-r for r in rs]
         mob = Mobius(small(), small(), small(), small())
-        if len(orbit) == 4 and len(set(vals)) == len(vals) \
-                and not mob.det().is_zero():
+        if len(orbit) == 4 and len(set(vals)) == len(vals):
             return Divisor([ProjPoint.finite(v) for v in vals]).apply(mob)
 
 
@@ -219,7 +219,7 @@ def test_odd_degree_fast_path():
 
 
 def test_degree_two_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(DegreeTooSmall):
         decide(rational_divisor(0, 1))
 
 

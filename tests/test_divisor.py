@@ -10,7 +10,6 @@ from p1moduli.construct import CounterexampleSpec, gen_counterexample
 from p1moduli.divisor import (
     AutGroup,
     Divisor,
-    TripleTable,
     _matches,
     _reduce,
     compute_aut,
@@ -19,6 +18,7 @@ from p1moduli.divisor import (
 )
 from p1moduli.decide import decide, verify_certificate
 from p1moduli.errors import DegreeTooSmall, InternalInconsistency
+from p1moduli.moduli import field_of_moduli
 from p1moduli.projline import Mobius, ProjPoint, mobius_from_triples
 from p1moduli.qfield import FieldElem, FieldTower, galois_group, \
     multiquadratic_tower, tower_extend
@@ -444,15 +444,13 @@ def counterexample_divisor():
 
 
 def assert_table_matches_oracle(d):
-    table = TripleTable(d)
     found = oracle_aut(d)
-    assert table.aut.elements == aut_group(d, found).elements
-    assert set(table.aut.elements) == set(found)
+    assert d.aut.elements == aut_group(d, found).elements
+    assert set(d.aut.elements) == set(found)
     for sigma in galois_group(d.tower).elements:
         moved = conjugate_divisor(sigma, d)
-        hit = table.galois_witness(sigma)
+        hit = d.galois_witness(sigma)
         assert (hit and hit[0]) == oracle_equivalent(moved, d)
-    return table
 
 
 def test_table_aut_and_witnesses_match_oracle():
@@ -463,43 +461,42 @@ def test_table_aut_and_witnesses_match_oracle():
 def test_table_on_counterexample_divisor():
     d = counterexample_divisor()
     assert d.tower.level == 3
-    table = assert_table_matches_oracle(d)
-    assert table.aut.order == 2
+    assert_table_matches_oracle(d)
+    assert d.aut.order == 2
     # every sigma has a witness: the field of moduli is Q
     group = galois_group(d.tower)
-    assert all(table.galois_witness(s) is not None for s in group.elements)
+    assert all(d.galois_witness(s) is not None for s in group.elements)
 
 
 def test_degree_six_c2_table():
     d = sqrt2_six_c2()
-    table = assert_table_matches_oracle(d)
-    assert table.aut.tag.label() == "cyclic(2)"
+    assert_table_matches_oracle(d)
+    assert d.aut.tag.label() == "cyclic(2)"
     assert Mobius(d.tower.zero(), d.tower.from_rational(2), d.tower.one(),
-                  d.tower.zero()) in table.aut
+                  d.tower.zero()) in d.aut
 
 
-def kept_first_witness(table, e):
-    """The first map from e onto the table's divisor, found by a scan
-    that reads the divisor's points mod p as the Aut scan reduced them."""
-    hit = next(_matches(e.points, (0, 1, 2), table.divisor.points, [],
-                        table.mods), None)
+def kept_first_witness(d, e):
+    """The first map from e onto d, found by a scan that reads d's points
+    mod p as d's Aut scan reduced them."""
+    d.aut
+    hit = next(_matches(e.points, (0, 1, 2), d.points, [], d._mods), None)
     return hit and hit[0]
 
 
 def test_table_witness_for_moved_and_foreign_divisors():
     rng = random.Random(618)
     for d in table_cases():
-        table = TripleTable(d)
         m = Mobius(*(d.tower.element([F(rng.randint(-3, 3))
                                       for _ in range(d.tower.degree)])
                      for _ in range(2)),
                    d.tower.one(), d.tower.from_rational(7))
         moved = d.apply(m)
-        w = kept_first_witness(table, moved)
+        w = kept_first_witness(d, moved)
         assert w == oracle_equivalent(moved, d) == pgl2_equivalent(moved, d)
         assert moved.apply(w) == d
         other = random_tower_divisor(rng, d.tower, d.degree)
-        assert kept_first_witness(table, other) \
+        assert kept_first_witness(d, other) \
             == oracle_equivalent(other, d) == pgl2_equivalent(other, d)
         # one point more: its signature holds every cross-ratio of D, so
         # only the degree test refuses it
@@ -528,19 +525,18 @@ def imaged_perm(src, m, pts):
 
 
 def assert_perms_match_imaging(d, rng):
-    table = TripleTable(d)
     pts = d.points
     # Aut: the full scan, with the permutation of each element
     base = (0, 1, 2)
     mods = []
     hits = list(_matches(pts, base, pts, mods, mods))
-    assert {m for m, _ in hits} == set(table.aut.elements)
+    assert {m for m, _ in hits} == set(d.aut.elements)
     for m, perm in hits:
         assert perm == imaged_perm(pts, m, pts)
     # Galois witnesses: today's maps, and pi with phi(sigma p_k) = p_pi(k)
     for sigma in galois_group(d.tower).elements:
         moved = conjugate_divisor(sigma, d)
-        hit = table.galois_witness(sigma)
+        hit = d.galois_witness(sigma)
         assert (hit and hit[0]) == pgl2_equivalent(moved, d) \
             == oracle_equivalent(moved, d)
         if hit is not None:
@@ -548,8 +544,8 @@ def assert_perms_match_imaging(d, rng):
             assert hit[1] == imaged_perm(conj, hit[0], pts)
     # pgl2_equivalent: every map from a planted image e back onto D
     e = d.apply(random_mobius(rng, d.tower))
-    hits = list(_matches(e.points, base, pts, [], table.mods))
-    assert len(hits) == table.aut.order
+    hits = list(_matches(e.points, base, pts, [], d._mods))
+    assert len(hits) == d.aut.order
     assert hits[0][0] == pgl2_equivalent(e, d)
     for m, perm in hits:
         assert perm == imaged_perm(e.points, m, pts)
@@ -575,9 +571,8 @@ def test_next_split_prime_when_the_first_fails():
         (p, _), (p1, _) = tower.split_prime(0), tower.split_prime(1)
         # the bracket [0, p] = -p maps to 0 mod p
         d = rational_divisor([0, p, 1, -1, F(1, 3), 5], tower=tower)
-        table = TripleTable(d)
-        assert table.mods[0] is None and table.mods[1][0][0] == p1
-        assert table.aut.elements == aut_group(d, oracle_aut(d)).elements
+        assert d.aut.elements == aut_group(d, oracle_aut(d)).elements
+        assert d._mods[0] is None and d._mods[1][0][0] == p1
         e = d.apply(random_mobius(rng, tower))
         assert pgl2_equivalent(e, d) == oracle_equivalent(e, d) is not None
         assert pgl2_equivalent(d, e) == oracle_equivalent(d, e) is not None
@@ -713,13 +708,62 @@ def test_a_trivial_aut_scan_builds_no_map(monkeypatch):
 
     monkeypatch.setattr(divisor_mod, "mobius_from_triples", counted_build)
     monkeypatch.setattr(FieldElem, "inverse", counted_inverse)
-    assert TripleTable(d).aut.order == 1
+    assert d.aut.order == 1
     assert calls["maps"] == 0 and calls["inverses"] <= 2
 
 
 def test_table_requires_three_points():
     with pytest.raises(DegreeTooSmall):
-        TripleTable(rational_divisor([0, 1]))
+        rational_divisor([0, 1]).aut
+    for entry in (compute_aut, field_of_moduli, decide):
+        with pytest.raises(DegreeTooSmall):
+            entry(rational_divisor([0, 1]))
+
+
+def counted_aut_groups(monkeypatch) -> list:
+    """The AutGroups built from here on, one entry each."""
+    built, init = [], AutGroup.__init__
+
+    def counted(self, pairs):
+        built.append(self)
+        init(self, pairs)
+
+    monkeypatch.setattr(AutGroup, "__init__", counted)
+    return built
+
+
+def test_one_aut_scan_per_divisor_object(monkeypatch):
+    built = counted_aut_groups(monkeypatch)
+    d = sqrt2_six_c2()
+    aut = compute_aut(d)
+    assert field_of_moduli(d).aut is aut
+    assert decide(d).aut is aut
+    assert len(built) == 1
+    # the scan is kept by the object, not by equal divisors
+    again = Divisor(d.points)
+    assert again == d and compute_aut(again) is not aut
+    assert len(built) == 2
+
+
+def test_one_aut_scan_per_counterexample_draw(monkeypatch):
+    construct_mod = importlib.import_module("p1moduli.construct")
+    build = construct_mod._build_divisor
+    draws = []
+
+    def counted_build(*args):
+        built = build(*args)
+        if built is not None:
+            draws.append(built)
+        return built
+
+    monkeypatch.setattr(construct_mod, "_build_divisor", counted_build)
+    auts = counted_aut_groups(monkeypatch)
+    # seed 32 rejects its first draw (Aut not self-centralizing)
+    for seed, want in ((1, 1), (32, 2)):
+        draws.clear()
+        auts.clear()
+        gen_counterexample(CounterexampleSpec(-1, -1, 8, seed=seed))
+        assert len(draws) == len(auts) == want
 
 
 # ---------------------------------------------------------

@@ -1,12 +1,15 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import p1moduli
 
 PACKAGE = Path(p1moduli.__file__).resolve().parent
+TRACER_PY = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -223,3 +226,26 @@ def test_every_exception_class_is_raised():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unraised_exception_classes(sources["errors.py"], sources) == []
+
+
+def test_every_name_the_tracer_patches_resolves():
+    # perfbench/tracer.py wraps these by name from outside the package, so
+    # a rename would break `perfbench/run.py --trace 1` and nothing else
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PY)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(name):
+        return importlib.import_module(f"{tracer.PKG}.{name}")
+
+    targets = [(module(m), fn) for m, fns in tracer.SPANS.items()
+               for fn in fns]
+    targets.append((module("projline"), "mobius_from_triples"))
+    field_elem, mobius = module("qfield").FieldElem, module("projline").Mobius
+    targets += [(field_elem, attr)
+                for attr in ("__mul__", "__rmul__", "inverse", "sqrt")]
+    targets += [(mobius, attr) for attr in ("__init__", "compose")]
+    # classes are patched through their own __dict__, modules through vars
+    assert [f"{owner.__name__}.{name}" for owner, name in targets
+            if not callable(vars(owner).get(name))] == []

@@ -11,7 +11,6 @@ from p1moduli.decide import DEFINED_ON_P1, decide
 from p1moduli.divisor import (
     AutGroup,
     Divisor,
-    TripleTable,
     _matches,
     compute_aut,
     conjugate_divisor,
@@ -635,8 +634,7 @@ def two_five_tower_data():
     cochain = {i: ident for i in h}
     perms = {i: (0, 1, 2) for i in h}
     dummy = Divisor([fin(t2, 0), fin(t2, 1), fin(t2, 2)])
-    return t2, group, ModuliData(group, h, cochain, perms, fom, dummy,
-                                 compute_aut(dummy))
+    return t2, group, ModuliData(group, h, cochain, perms, fom, dummy)
 
 
 def sign_vector(group, i, tower):
@@ -724,7 +722,7 @@ def test_quaternion_rejects_higher_order_values():
     fom = fixed_subtower(group, (0,))
     dummy = Divisor([fin(QQ, 0), fin(QQ, 1), fin(QQ, 2)])
     data = ModuliData(group, (0,), {0: Mobius.identity(QQ)}, {0: (0, 1, 2)},
-                      fom, dummy, compute_aut(dummy))
+                      fom, dummy)
     spin = Mobius.from_rationals(QQ, 1, -1, 1, 1)  # order 4
     coc = Cocycle({(0, 0): spin})
     with pytest.raises(UnsupportedAut):
@@ -812,19 +810,18 @@ def test_int_keys_order_as_fraction_keys():
     for d in (octahedron(), q_i_pentagon(), sqrt2_five_points(),
               biquadratic_five_points(), rational_involution_six(),
               counterexample_eight(), obstructed_eight()):
-        table = TripleTable(d)
-        rest = table.aut.elements[1:]
+        rest = d.aut.elements[1:]
         assert list(rest) == sorted(rest,
                                     key=lambda m: fraction_key(m.entries()))
         for sigma in galois_group(d.tower).elements:
             moved = [ProjPoint(sigma(p.x), sigma(p.y)) for p in d.points]
             base = tuple(sorted(range(d.degree),
                                 key=lambda k: moved[k].sort_key())[:3])
-            assert table.galois_witness(sigma) == \
+            assert d.galois_witness(sigma) == \
                 next(_matches(moved, base, d.points, [], []), None)
-        if not table.aut.is_cyclic():
+        if not d.aut.is_cyclic():
             continue
-        data = field_of_moduli(d, table)
+        data = field_of_moduli(d)
         comp = compression(d, data)
         cd = compressed_divisor(d, data, comp)
         keys = [(deg, [fraction_key(pt) for pt in orbit])

@@ -10,7 +10,7 @@ from p1moduli.projline import (
     ProjPoint,
     fixed_points,
     mobius_from_triples,
-    mobius_to_triple,
+    one_point,
     zero_point,
 )
 from p1moduli.qfield import FieldTower, multiquadratic_tower, tower_extend
@@ -188,7 +188,9 @@ def test_from_triples_equals_the_composition():
             p, q = (distinct_tower_points(rng, t, 3) for _ in range(2))
             if rng.random() < 0.3:
                 p[rng.randrange(3)] = ProjPoint.infinity(t)
-            old = mobius_to_triple(*q).compose(mobius_to_triple(*p).inverse())
+            std = (zero_point(t), one_point(t), ProjPoint.infinity(t))
+            old = mobius_from_triples(*std, *q).compose(
+                mobius_from_triples(*std, *p).inverse())
             assert mobius_from_triples(*p, *q) == old
 
 
