@@ -287,10 +287,10 @@ def gen_counterexample(spec: CounterexampleSpec,
         if drawn is None:
             continue
         rads, cs = drawn
-        built = _build_divisor(ta, alpha, a, b, rads, cs, include_ram)
+        built = _build_divisor(ta, a, b, rads, cs, include_ram)
         if built is None:
             continue
-        big, sqrt_b, divisor = built
+        big, divisor = built
         aut = compute_aut(divisor)
         deck = Mobius.from_rationals(big, -1, 0, 0, 1)
         try:
@@ -300,8 +300,8 @@ def gen_counterexample(spec: CounterexampleSpec,
         if not check_self_centralizing(aut, aut.elements[deck_in]):
             continue
 
-        sections = _assemble_sections(conic, par, nu, sig, ta, alpha,
-                                      a, b, rads, cs, include_ram, p0, pbar)
+        sections = _assemble_sections(conic, par, nu, sig, ta, alpha, b,
+                                      rads, cs, include_ram, p0, pbar)
         _check_bookkeeping(spec, sections, divisor, include_ram)
         data = DoubleCoverData(spec, conic, par, nu, p0, pbar, sections,
                                divisor, deck)
@@ -359,7 +359,7 @@ def _draw_pairs(rng, pairs, a, b):
     return rads, cs
 
 
-def _build_divisor(ta, alpha, a, b, rads, cs, include_ram):
+def _build_divisor(ta, a, b, rads, cs, include_ram):
     tower = ta
     for r in [b] + list(rads):
         res = tower_extend(tower, r)
@@ -384,10 +384,10 @@ def _build_divisor(ta, alpha, a, b, rads, cs, include_ram):
         pts.append(ProjPoint.infinity(tower))
     if len(set(pts)) < len(pts):
         return None
-    return tower, sqrt_b, Divisor(pts)
+    return tower, Divisor(pts)
 
 
-def _assemble_sections(conic, par, nu, sig, ta, alpha, a, b, rads, cs,
+def _assemble_sections(conic, par, nu, sig, ta, alpha, b, rads, cs,
                        include_ram, p0, pbar):
     sections = []
     if include_ram:

@@ -147,7 +147,7 @@ def decide(d: Divisor) -> Verdict:
                                conic=comp.conic, point=point)
         verdict = Verdict(DEFINED_ON_P1, cert, data, comp=comp)
     else:
-        cd = compressed_divisor(d, data, comp)
+        cd = compressed_divisor(comp)
         if not cd.all_degrees_even():
             raise InternalInconsistency(
                 "pointless conic with an odd-degree orbit")
@@ -223,7 +223,7 @@ def build_p1_model(d: Divisor, data: ModuliData, comp: CompressionResult,
     if len(h) == 2:
         return _norm_equation_model(d, data)
     if data.aut.order == 1:
-        return _conic_point_model(d, data, comp, point)
+        return _conic_point_model(d, comp, point)
     return None
 
 
@@ -260,8 +260,8 @@ def _norm_equation_model(d: Divisor, data: ModuliData
         "no automorphism adjustment trivializes the quadratic cocycle")
 
 
-def _conic_point_model(d: Divisor, data: ModuliData, comp: CompressionResult,
-                       point) -> tuple[list[Fraction], Mobius]:
+def _conic_point_model(d: Divisor, comp: CompressionResult, point
+                       ) -> tuple[list[Fraction], Mobius]:
     """With Aut trivial the conic is the twisted line itself: for X a
     rational point of it and C the descent basis, w = C X lies on the
     Veronese quadric, and z = (w0 : w1), or (w1 : w2) when w0 = 0, has
@@ -337,7 +337,7 @@ def verify_certificate(d: Divisor, v: Verdict) -> VerifyResult:
         return _fail("missing certificate")
 
     if cert.kind == "fast_path":
-        return _verify_fast_path(d, v, cert)
+        return _verify_fast_path(d, cert)
 
     if cert.kind == "p1_model":
         if v.outcome != DEFINED_ON_P1:
@@ -400,8 +400,7 @@ def _recheck_failing(cert: Certificate) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _verify_fast_path(d: Divisor, v: Verdict, cert: Certificate
-                      ) -> VerifyResult:
+def _verify_fast_path(d: Divisor, cert: Certificate) -> VerifyResult:
     rule = cert.rule
     if rule == "noncyclic":
         # g(D) = D puts g in Aut; a cyclic group is abelian and holds at

@@ -179,7 +179,7 @@ def primitive_scale(values) -> Fraction:
 
 def fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, if it is one."""
-    if q < 0:
+    if q.numerator < 0:
         return None
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)

@@ -3,9 +3,8 @@
 Entries may be ints, Fractions or tower ``FieldElem``s, mixed with
 rational scalars. The ring routines never divide, and their sums start
 from the first term, so a tower matrix keeps tower entries; ``inverse``
-divides once, by the determinant. The elimination routines ``rref`` and
-``kernel_basis`` pivot by Fraction division and are used over Q only;
-a kernel of (columns | x) also gives the coordinates of x in the columns.
+divides once, by the determinant. No row reduction is kept: fixed fields
+are read off the Galois chain in ``qfield``.
 """
 
 from __future__ import annotations
@@ -85,46 +84,3 @@ def inverse(a: Matrix) -> Matrix:
         raise SingularMatrix("matrix is singular")
     inv_d = ONE / d
     return [[col[i] * inv_d for col in cols] for i in range(3)]
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel {v : m v = 0}."""
-    if not m:
-        return []
-    cols = len(m[0])
-    a, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
-

@@ -485,8 +485,7 @@ class CompressedDivisor:
         return f"CompressedDivisor(degrees={self.degrees})"
 
 
-def compressed_divisor(d: Divisor, data: ModuliData,
-                       comp: CompressionResult) -> CompressedDivisor:
+def compressed_divisor(comp: CompressionResult) -> CompressedDivisor:
     """Image points of D under the quotient map, grouped into orbits of
     the twisted Galois action and written in conic coordinates."""
     # in any order: the orbits partition the images and are sorted below

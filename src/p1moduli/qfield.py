@@ -35,8 +35,10 @@ floating point appears anywhere.
 A Galois element sending each root t_i to +-t_i (every element does in
 a multiquadratic tower) is a sign mask s, sigma(e_a) = (-1)^|a & s| e_a:
 it negates coordinates, masks compose by XOR, and a group of masks fixes
-the span of the e_a with every |a & s| even, found with no elimination.
-Other elements (as in Q(sqrt(2 + sqrt 2))) act by a basis-image matrix.
+the span of the e_a with every |a & s| even. Other elements (as in
+Q(sqrt(2 + sqrt 2))) act by a basis-image matrix; their groups fix the
+averages of the conjugates of the e_a. Restriction to a fixed field
+splits through the involutions of its subgroup chain, with no elimination.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from . import linalg
 from .errors import (
     InternalInconsistency,
     NoInverse,
@@ -61,6 +62,7 @@ Scalar = Union["FieldElem", Fraction, int]
 Ints = tuple[tuple[int, ...], int]   # numerators and a positive denominator
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 _SIEVE = 614889782588491410   # 2 * 3 * 5 * ... * 47
 
 
@@ -825,15 +827,19 @@ def _eval_on_images(rad: Ints, images: list[FieldElem],
 # ---------------------------------------------------------------------------
 
 class SubfieldPresentation:
-    """A fixed field presented as its own tower plus maps in and out."""
+    """A fixed field presented as its own tower plus maps in and out:
+    ``basis_images[c]`` is the image of e_c, and ``involutions[i]``, the
+    tau of chain step i, fixes the level-i subfield and negates the image
+    of root i. The whole tower has no steps and passes ``()``."""
 
-    __slots__ = ("tower", "basis_images", "parent")
+    __slots__ = ("tower", "basis_images", "parent", "involutions")
 
     def __init__(self, tower: FieldTower, basis_images: list[FieldElem],
-                 parent: FieldTower):
+                 parent: FieldTower, involutions: tuple[GaloisAut, ...]):
         self.tower = tower
         self.basis_images = basis_images
         self.parent = parent
+        self.involutions = involutions
 
     def embed(self, x: FieldElem) -> FieldElem:
         if x.tower != self.tower:
@@ -851,43 +857,39 @@ class SubfieldPresentation:
             raise ValueError("element does not live in the parent tower")
         if self.tower == self.parent:   # the whole tower, basis e_0..e_n
             return x
-        if x.is_rational():   # basis_images[0] is 1
-            return self.tower.from_rational(x.as_fraction())
-        if self.tower.level == 0:
+        return self.tower.element(self._split(x, self.tower.level))
+
+    def _split(self, x: FieldElem, level: int) -> list[Fraction]:
+        """The coordinates of x over the first 2^level basis images. For
+        the top root image y, x = a + b*y with a = (x + tau x)/2 and
+        b = (x - tau x)/(2y) whatever x is, so x lies in the subfield
+        exactly when every leaf is rational."""
+        if x.is_rational():
+            return [x.as_fraction()] + [_ZERO] * ((1 << level) - 1)
+        if not level:
             raise ValueError("element is not fixed by the subgroup")
-        # the images are independent, so the kernel of (images | x) is
-        # spanned by (-c, 1) for the coordinates c of x, or is empty
-        cols = [img.coords for img in self.basis_images] + [x.coords]
-        kernel = linalg.kernel_basis(linalg.transpose(cols))
-        if not kernel:
-            raise ValueError("element is not fixed by the subgroup")
-        return self.tower.element([-c for c in kernel[0][:-1]])
+        tx = self.involutions[level - 1].apply(x)
+        y = self.basis_images[1 << (level - 1)]
+        return (self._split((x + tx) * _HALF, level - 1)
+                + self._split((x - tx) / (y * 2), level - 1))
 
 
-def _action_matrix(aut: GaloisAut) -> tuple[linalg.Matrix, int]:
-    deg = aut.tower.degree
-    imgs, den = aut._basis_images()
-    return [[imgs[c][r] for c in range(deg)] for r in range(deg)], den
-
-
-def _fixed_space(group: GaloisGroup, indices: frozenset[int]) -> list[linalg.Vector]:
-    deg = group.tower.degree
-    masks = [group.elements[i].mask for i in sorted(indices)]
-    if None not in masks:
-        # e_a is fixed exactly when |a & s| is even for every mask s
-        return [row for a, row in enumerate(linalg.identity(deg))
-                if not any((a & s).bit_count() & 1 for s in masks)]
-    rows: linalg.Matrix = []
-    for i in sorted(indices):
-        if i == 0:
-            continue
-        # den * (action - 1): the same kernel, over the ints
-        a, den = _action_matrix(group.elements[i])
-        for r in range(deg):
-            row = a[r][:]
-            row[r] -= den
-            rows.append(row)
-    return linalg.kernel_basis(rows)
+def _fixed_vectors(group: GaloisGroup,
+                   indices: frozenset[int]) -> Iterator[FieldElem]:
+    """Elements spanning the fixed field of the subgroup on ``indices``."""
+    tower = group.tower
+    auts = [group.elements[i] for i in sorted(indices)]
+    masks = [e.mask for e in auts]
+    for a in range(tower.degree):
+        e_a = FieldElem(tower, tuple(int(i == a) for i in range(tower.degree)))
+        if None not in masks:
+            # e_a is fixed exactly when |a & s| is even for every mask s
+            if not any((a & s).bit_count() & 1 for s in masks):
+                yield e_a
+        else:
+            # the average of the conjugates of e_a
+            yield sum((e.apply(e_a) for e in auts[1:]), e_a) \
+                * Fraction(1, len(auts))
 
 
 def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPresentation:
@@ -900,9 +902,8 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
     tower = group.tower
     sub = group.subgroup_closure(subgroup)
     if len(sub) == 1:
-        basis = [tower.element([int(i == m) for i in range(tower.degree)])
-                 for m in range(tower.degree)]
-        return SubfieldPresentation(tower, basis, tower)
+        return SubfieldPresentation(tower, list(_fixed_vectors(group, sub)),
+                                    tower, ())
 
     # chain sub = U_0 < U_1 < ... < U_k = G with index-2 steps
     chain = [sub]
@@ -927,22 +928,22 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
 
     subtower = FieldTower.rationals()
     basis_images = [tower.one()]
+    involutions: tuple[GaloisAut, ...] = ()
     # walk downward: from fixed(G) = Q towards fixed(sub)
     for j in range(len(chain) - 1, 0, -1):
         bigger_grp, smaller_grp = chain[j], chain[j - 1]
         tau_i = next(iter(bigger_grp - smaller_grp))
         tau = group.elements[tau_i]
         # the first vector fixed by the smaller group and moved by tau
-        for x_vec in _fixed_space(group, smaller_grp):
-            x = tower.element(x_vec)
+        for x in _fixed_vectors(group, smaller_grp):
             y = x - tau.apply(x)
             if not y.is_zero():
                 break
         else:
             raise InternalInconsistency("fixed-space vector collapsed")
         try:
-            rad = SubfieldPresentation(subtower, basis_images, tower) \
-                .restrict(y * y)
+            rad = SubfieldPresentation(subtower, basis_images, tower,
+                                       involutions).restrict(y * y)
         except ValueError:
             raise InternalInconsistency(
                 "radicand not in current subfield") from None
@@ -960,4 +961,5 @@ def fixed_subtower(group: GaloisGroup, subgroup: Iterable[int]) -> SubfieldPrese
             y = y / s
         subtower = ext.tower
         basis_images = basis_images + [img * y for img in basis_images]
-    return SubfieldPresentation(subtower, basis_images, tower)
+        involutions += (tau,)
+    return SubfieldPresentation(subtower, basis_images, tower, involutions)

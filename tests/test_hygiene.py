@@ -44,6 +44,49 @@ def test_no_unused_imports_in_package():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Functions with parameters their body never reads, each listed once
+    with those parameters. ``self``, ``cls`` and the parameters of dunder
+    methods, whose signatures the protocol fixes, are left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs \
+            + [a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused = [a.arg for a in params
+                  if a.arg not in read and a.arg not in ("self", "cls")]
+        if unused:
+            found.append(f"{node.name}({', '.join(unused)}) "
+                         f"(line {node.lineno})")
+    return sorted(found)
+
+
+def test_unused_parameter_detector():
+    src = ("def f(a, b, *args, c=1, **kw):\n"
+           "    b = 2\n    return c + len(kw)\n"
+           "class C:\n"
+           "    def __exit__(self, *exc):\n        return None\n"
+           "    def m(self, x, y):\n"
+           "        return [lambda: x]\n"
+           "    @classmethod\n    def k(cls, z):\n        return cls\n"
+           "def g(u):\n    def inner(v):\n        return u\n"
+           "    return inner\n")
+    assert unused_parameters(src) == [
+        "f(a, b, args) (line 1)", "inner(v) (line 13)", "k(z) (line 10)",
+        "m(y) (line 7)"]
+
+
+def test_no_unused_parameters_in_package():
+    found = {path.name: unused_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def mentions(node) -> list[str]:
     """Every name and attribute name used under an AST node."""
     return [n.id if isinstance(n, ast.Name) else n.attr

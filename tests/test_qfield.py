@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from p1moduli import linalg
 from p1moduli.errors import InternalInconsistency, NotGalois, NoInverse, \
     ZeroRadicand
 from p1moduli.intmath import is_probable_prime
@@ -302,13 +301,9 @@ def test_fixed_subtower_trivial_group_is_everything():
     assert pres.embed(pres.restrict(x)) == x
 
 
-def test_restrict_to_q_and_whole_tower_needs_no_elimination(monkeypatch):
+def test_restrict_to_q_and_whole_tower_needs_no_elimination():
     # Q and the whole tower are read off the coordinates: a member comes
-    # back, a non-member raises, and no linear system is solved
-    def no_rref(*args):
-        raise AssertionError("restrict eliminated")
-
-    monkeypatch.setattr(linalg, "rref", no_rref)
+    # back and a non-member raises
     t = multiquadratic_tower([-1, 2, 5])
     g = galois_group(t)
     q_pres = fixed_subtower(g, range(g.order))
@@ -349,8 +344,8 @@ def test_fixed_subtower_refuses_a_radicand_outside_the_subfield(monkeypatch):
     import p1moduli.qfield as qfield
     t = multiquadratic_tower([2, 3])
     g = galois_group(t)
-    monkeypatch.setattr(qfield, "_fixed_space",
-                        lambda group, indices: [[0, 1, 1, 1]])
+    monkeypatch.setattr(qfield, "_fixed_vectors",
+                        lambda group, indices: [t.element([0, 1, 1, 1])])
     # sqrt 2 + sqrt 3 + sqrt 6 minus any nontrivial conjugate squares to
     # an irrational element
     with pytest.raises(InternalInconsistency,
@@ -372,9 +367,20 @@ def test_fixed_subtower_diagonal_subgroup():
     assert img * img == t.from_rational(6)
 
 
+def _zeta16_tower():
+    # Q(sqrt 2, sqrt -1, sqrt(2 + sqrt 2)) = Q(zeta_16): Galois, abelian,
+    # and not multiquadratic, so some subgroups take the matrix path
+    t = multiquadratic_tower([2, -1])
+    return tower_extend(t, t.element([2, 1, 0, 0])).tower
+
+
 def test_fixed_subtower_random_rounds():
     rng = random.Random(1234)
-    t = multiquadratic_tower([2, 5, -1])
+    for t in (multiquadratic_tower([2, 5, -1]), _zeta16_tower()):
+        _fixed_subtower_rounds(t, rng)
+
+
+def _fixed_subtower_rounds(t, rng):
     g = galois_group(t)
     for _ in range(6):
         gens = [rng.randrange(g.order) for _ in range(2)]
@@ -387,6 +393,11 @@ def test_fixed_subtower_random_rounds():
         for i in sub:
             assert g.elements[i](emb) == emb
         assert pres.restrict(emb) == x
+        # an element some member of the subgroup moves is refused
+        z = random_element(t, rng, height=4)
+        if any(g.elements[i](z) != z for i in sub):
+            with pytest.raises(ValueError, match="not fixed by the subgroup"):
+                pres.restrict(z)
         # arithmetic is preserved through the embedding
         y = random_element(pres.tower, rng, height=4)
         assert pres.embed(x * y) == pres.embed(x) * pres.embed(y)
@@ -402,6 +413,17 @@ def test_fixed_subtower_in_cyclic_quartic():
     pres = fixed_subtower(g, [sq])
     assert pres.tower.level == 1
     assert pres.tower.rational_radicands() == [F(2)]
+
+
+def test_zeta16_presentations_are_pinned():
+    # on the matrix path each step's root image comes from the average of
+    # the conjugates of a basis element; a sum in place of the average
+    # would scale the irrational radicand by |U|^2 = 4
+    g = galois_group(_zeta16_tower())
+    for group in (g, _matrix_group(g)):
+        assert fixed_subtower(group, [5]).tower.rad_coords == \
+            ((2,), (-8, -4))
+        assert fixed_subtower(group, [6]).tower.rad_coords == ((2,), (8, 4))
 
 
 # ---------------------------------------------------------
@@ -683,8 +705,8 @@ def _nested_quartic():
 @pytest.mark.parametrize("tower", [
     multiquadratic_tower([]), multiquadratic_tower([-1]),
     multiquadratic_tower([-1, 2]), multiquadratic_tower([2, -3, 5]),
-    multiquadratic_tower([-1, 2, 3, 5]), _nested_quartic()],
-    ids=["L0", "L1", "L2", "L3", "L4", "sqrt(2+sqrt2)"])
+    multiquadratic_tower([-1, 2, 3, 5]), _nested_quartic(), _zeta16_tower()],
+    ids=["L0", "L1", "L2", "L3", "L4", "sqrt(2+sqrt2)", "zeta16"])
 def test_sign_masks_match_the_matrix_path(tower):
     rng = random.Random(tower.level)
     group = galois_group(tower)
@@ -723,29 +745,23 @@ def test_nested_quartic_moves_sqrt2_without_a_mask():
 
 
 def test_multiquadratic_fixed_fields_need_no_elimination(monkeypatch):
-    from p1moduli import linalg
     calls = []
-    real_rref, real_compose = linalg.rref, GaloisAut.compose
-
-    def counting_rref(m):
-        calls.append("rref")
-        return real_rref(m)
+    real_compose = GaloisAut.compose
 
     def counting_compose(self, other):
         calls.append("compose")
         return real_compose(self, other)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(GaloisAut, "compose", counting_compose)
     group = galois_group(multiquadratic_tower([-1, 2, 3, 5]))
     GaloisGroup(group.tower, group.elements)
     for sub in _all_subgroups(group):
         fixed_subtower(group, sub)
     assert calls == []
-    # the counters do count: the matrix path takes both routes
+    # the counter does count: the matrix path composes
     fixed_subtower(_matrix_group(galois_group(multiquadratic_tower([2, 3]))),
                    [1])
-    assert "rref" in calls and "compose" in calls
+    assert "compose" in calls
 
 
 # ---------------------------------------------------------
