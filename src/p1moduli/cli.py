@@ -1,9 +1,9 @@
 """Command-line front end with exact JSON input and output.
 
-Every rational number travels as a string, so nothing is ever coerced
-through floats, and reports for the same request and seed are byte
-identical. Subcommands: analyze, equivalence, conic, counterexample,
-hyperelliptic.
+Every rational number travels as a string or a JSON integer, never a
+float; coordinates are parsed into and printed from reduced int pairs,
+and reports for the same request and seed are byte identical.
+Subcommands: analyze, equivalence, conic, counterexample, hyperelliptic.
 
 Exit codes: 0 report produced, 2 malformed or out-of-contract input,
 3 refusal because the field of moduli is a proper extension of Q,
@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .conic import (INFINITE_PLACE, PlaceEval, TernaryForm, find_point,
@@ -48,16 +50,32 @@ _INPUT_ERRORS = (SchemaError, BadDegree, DegreeTooSmall, SplitSymbol,
 # parsing (JSON -> exact objects); every failure names the offending field
 # ---------------------------------------------------------------------------
 
-def _frac(obj, path: str) -> Fraction:
-    """A rational from a JSON string or integer, never a float."""
-    if isinstance(obj, bool) or isinstance(obj, float):
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _ratio(obj, path: str) -> tuple[int, int]:
+    """A reduced (numerator, denominator > 0) pair from a JSON string or
+    integer: ASCII ``[-]digits[/digits]`` by ``int``, else by ``Fraction``."""
+    if type(obj) is int:
+        return obj, 1
+    if isinstance(obj, (bool, float)):
         raise SchemaError(f"{path}: rationals must be strings or integers")
-    if not isinstance(obj, (str, int)):
+    if not isinstance(obj, str):
         raise SchemaError(f"{path}: expected a rational, got {obj!r}")
+    plain = _PLAIN.fullmatch(obj)
     try:
-        return Fraction(str(obj).strip())
-    except (ValueError, ZeroDivisionError):
+        if plain is None:
+            q = Fraction(obj.strip())
+            return q.numerator, q.denominator
+        n, d = int(plain[1]), int(plain[2] or 1)
+    except (ValueError, ZeroDivisionError):   # int() refuses > 4300 digits
         raise SchemaError(f"{path}: not a rational: {obj!r}") from None
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _frac(obj, path: str) -> Fraction:
+    return Fraction(*_ratio(obj, path))
 
 
 def _expect(obj, kind, path: str, label: str):
@@ -67,10 +85,10 @@ def _expect(obj, kind, path: str, label: str):
 
 
 def _int(obj, path: str) -> int:
-    q = _frac(obj, path)
-    if q.denominator != 1:
-        raise SchemaError(f"{path}: expected an integer, got {q}")
-    return int(q)
+    n, d = _ratio(obj, path)
+    if d != 1:
+        raise SchemaError(f"{path}: expected an integer, got {n}/{d}")
+    return n
 
 
 def parse_tower(obj, path: str) -> FieldTower:
@@ -88,8 +106,8 @@ def parse_tower(obj, path: str) -> FieldTower:
             if len(entry) != t.degree:
                 raise SchemaError(f"{here}: level {i} radicand needs "
                                   f"{t.degree} coordinates")
-            elem = t.element([_frac(c, f"{here}[{j}]")
-                              for j, c in enumerate(entry)])
+            elem = t.from_ratios([_ratio(c, f"{here}[{j}]")
+                                  for j, c in enumerate(entry)])
         else:
             elem = t.from_rational(_frac(entry, here))
         if elem.is_zero():
@@ -107,8 +125,8 @@ def parse_elem(tower: FieldTower, obj, path: str) -> FieldElem:
     if len(obj) != tower.degree:
         raise SchemaError(f"{path}: expected {tower.degree} coordinates, "
                           f"got {len(obj)}")
-    return tower.element([_frac(c, f"{path}[{j}]")
-                          for j, c in enumerate(obj)])
+    return tower.from_ratios([_ratio(c, f"{path}[{j}]")
+                              for j, c in enumerate(obj)])
 
 
 def parse_point(tower: FieldTower, obj, path: str) -> ProjPoint:
@@ -162,7 +180,7 @@ def parse_form(obj, path: str) -> TernaryForm:
 # ---------------------------------------------------------------------------
 
 def frac_str(q) -> str:
-    return str(Fraction(q))
+    return str(q if type(q) in (int, Fraction) else Fraction(q))
 
 
 def tower_json(t: FieldTower) -> list:
@@ -170,7 +188,9 @@ def tower_json(t: FieldTower) -> list:
 
 
 def elem_json(e: FieldElem) -> list:
-    return [str(Fraction(v, e.den)) for v in e.num]
+    # each v / den, printed as str(Fraction(v, den)) prints it
+    return [str(v // g) if (g := gcd(v, e.den)) == e.den
+            else f"{v // g}/{e.den // g}" for v in e.num]
 
 
 def point_json(p: ProjPoint):
@@ -390,6 +410,8 @@ def _load_payload(path: str):
         raise SchemaError(
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except (ValueError, RecursionError) as e:   # too many digits, too deep
+        raise SchemaError(f"invalid JSON: {e}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,6 +31,7 @@ from .intmath import (
     crt,
     factorint,
     fraction_sqrt,
+    legendre,
     primitive_scale,
     sqrt_mod_prime,
     squarefree_part,
@@ -198,11 +199,6 @@ def _split_valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _legendre_unit(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
-
-
 def hilbert_symbol(a, b, place: Place) -> int:
     """The Hilbert symbol (a, b) at a place of Q, by the closed formulas.
 
@@ -232,9 +228,9 @@ def hilbert_symbol(a, b, place: Place) -> int:
     s = 1
     if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
         s = -s
-    if beta % 2 and _legendre_unit(u, p) == -1:
+    if beta % 2 and legendre(u, p) == -1:
         s = -s
-    if alpha % 2 and _legendre_unit(v, p) == -1:
+    if alpha % 2 and legendre(v, p) == -1:
         s = -s
     return s
 

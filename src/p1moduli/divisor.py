@@ -43,12 +43,12 @@ class Divisor:
         tower = pts[0].tower
         if any(p.tower != tower for p in pts):
             raise ValueError("points live in different towers")
-        if len(set(pts)) != len(pts):
+        self._set = frozenset(pts)
+        if len(self._set) != len(pts):
             raise ValueError("reduced divisor requires distinct points")
         # y is 0 at infinity and 1 elsewhere: (y, x) orders as sort_key
         self.points = tuple(sorted_by_coords(pts, lambda p: (p.y, p.x)))
         self.tower = tower
-        self._set = frozenset(self.points)
         self._hash = None
         self._aut = None
         self._mods = []

@@ -44,7 +44,7 @@ splits through the involutions of its subgroup chain, with no elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -80,10 +80,10 @@ def _reduce(nums: Sequence[int], den: int) -> Ints:
     return tuple(v // g for v in nums), den // g
 
 
-def _ints(coords: Iterable[Fraction | int]) -> Ints:
-    fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-    den = lcm(*(f.denominator for f in fr))
-    return tuple(f.numerator * (den // f.denominator) for f in fr), den
+def _ints(pairs: Sequence[tuple[int, int]]) -> Ints:
+    """Reduced pairs (n, d > 0) over the lcm of the d: no factor is left."""
+    den = lcm(*(d for _, d in pairs))
+    return tuple(n * (den // d) for n, d in pairs), den
 
 
 def _mul(x: Sequence[int], y: Sequence[int], table) -> list[int]:
@@ -157,8 +157,10 @@ def _sqrt(x: Sequence[int], den: int, tower: "FieldTower") -> Ints | None:
     """Some square root of x / den in the prefix of its length, or None."""
     n = len(x)
     if n == 1:
-        r = fraction_sqrt(Fraction(x[0], den))
-        return None if r is None else ((r.numerator,), r.denominator)
+        g = gcd(x[0], den)   # halves of a reduced vector need not be reduced
+        p, q = x[0] // g, den // g
+        rp, rq = isqrt(max(p, 0)), isqrt(q)
+        return ((rp,), rq) if rp * rp == p and rq * rq == q else None
     h = n // 2
     a, b = tuple(x[:h]), tuple(x[h:])
     zeros = (0,) * h
@@ -229,7 +231,8 @@ class FieldTower:
         self.rad_coords = rad_coords
         self.level = len(rad_coords)
         self.degree = 1 << self.level
-        self._rads = tuple(_ints(c) for c in rad_coords)
+        self._rads = tuple(_ints([(q.numerator, q.denominator) for q in c])
+                           for c in rad_coords)
         self._hash = hash(self._rads)
         self._table = None
         self._galois = None
@@ -292,10 +295,14 @@ class FieldTower:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords: Iterable[Fraction | int]) -> "FieldElem":
-        nums, den = _ints(coords)
-        if len(nums) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(nums)}")
-        return FieldElem(self, nums, den)
+        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+        if len(fr) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(fr)}")
+        return self.from_ratios([(f.numerator, f.denominator) for f in fr])
+
+    def from_ratios(self, pairs: Sequence[tuple[int, int]]) -> "FieldElem":
+        """The element with coordinates n/d for reduced pairs, d > 0."""
+        return FieldElem(self, *_ints(pairs))
 
     def from_rational(self, q: Fraction | int) -> "FieldElem":
         if type(q) is int:

@@ -1,11 +1,15 @@
 """JSON round-trips, command dispatch, exit codes, and determinism."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
+import random
 import shutil
 import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from p1moduli import cli, intmath
 from p1moduli.cli import (divisor_json, elem_json, mobius_json,
                           parse_divisor, parse_tower, run, tower_json)
 from p1moduli.divisor import Divisor
+from p1moduli.errors import SchemaError
 from p1moduli.projline import Mobius, ProjPoint
 from p1moduli.qfield import FieldTower, multiquadratic_tower, tower_extend
 
@@ -78,6 +83,86 @@ def test_elem_json_prints_each_coordinate():
                    [7, F(-1, 2), 0, F(2, 9)], [0, F(-6, 4), 0, 0]):
         e = t.element(coords)
         assert elem_json(e) == [str(c) for c in e.coords]
+
+
+def test_elem_json_matches_fraction_on_random_rows():
+    rng = random.Random(29)
+    t = multiquadratic_tower([-1, 2, 3])
+    for _ in range(300):
+        den = rng.choice([1, 2, 12, rng.randint(1, 10 ** 6)])
+        row = [rng.choice([0, rng.randint(-50, 50),
+                           rng.randint(-10 ** 12, 10 ** 12)])
+               for _ in range(t.degree)]
+        e = t.element([F(v, den) for v in row])
+        assert elem_json(e) == [str(F(v, e.den)) for v in e.num]
+
+
+# every spelling is held against Fraction itself: the same value, or the
+# same SchemaError message
+RATIO_SPELLINGS = ["-3/7", "+3", "00012/0004", "-0", " 7 ", "1_000", "1e2",
+                   "3.5", "\u0663", "3/0", "3/-4", " 3 / 4 ", "1" * 5000, 12,
+                   -40, 0]
+
+
+@pytest.mark.parametrize("obj", RATIO_SPELLINGS,
+                         ids=lambda o: repr(o) if len(str(o)) < 20
+                         else f"{len(o)}-digit string")
+def test_ratio_agrees_with_fraction(obj):
+    try:
+        want = F(str(obj).strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SchemaError) as exc:
+            cli._ratio(obj, "$.x")
+        assert str(exc.value) == f"$.x: not a rational: {obj!r}"
+    else:
+        n, d = cli._ratio(obj, "$.x")
+        assert (type(n), type(d)) == (int, int)
+        assert (n, d) == (want.numerator, want.denominator)
+        assert cli._frac(obj, "$.x") == want
+
+
+@pytest.mark.parametrize("obj, message", [
+    (True, "$.x: rationals must be strings or integers"),
+    (1.5, "$.x: rationals must be strings or integers"),
+    (None, "$.x: expected a rational, got None"),
+], ids=["true", "float", "null"])
+def test_ratio_refuses_non_rationals(obj, message):
+    with pytest.raises(SchemaError) as exc:
+        cli._ratio(obj, "$.x")
+    assert str(exc.value) == message
+
+
+def test_int_reads_reduced_ratios():
+    assert cli._int("12/4", "$.n") == 3
+    assert cli._int(-8, "$.n") == -8
+    with pytest.raises(SchemaError, match="expected an integer, got 3/2"):
+        cli._int("6/4", "$.n")
+
+
+def test_point_parsing_builds_no_fraction(monkeypatch):
+    # the first 108 seed-1 equivalence payloads of the benchmark; only
+    # the tower radicands still pass through Fraction (3651 at the time
+    # every coordinate did)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)   # for its dataclass
+    spec.loader.exec_module(gen)
+    ops = gen.take("equivalence", 1, 108)
+    made = 0
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    for op in ops:
+        first = parse_divisor(op.payload["first"], "$.first")
+        parse_divisor(op.payload["second"], "$.second", first.tower)
+    monkeypatch.undo()
+    assert 0 < made <= 744
 
 
 def test_tower_shorthand_scalars():
@@ -310,6 +395,33 @@ def test_counterexample_byte_determinism(tmp_path, capsys):
     assert run(["counterexample", "--input", str(path)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("command, text", [
+    ("analyze", '{"tower": [], "points": [[%s], ["0"], ["1"]]}'),
+    ("counterexample", '{"a": -1, "b": -1, "n": 8, "seed": %s}'),
+], ids=["analyze", "counterexample"])
+def test_oversized_json_integer_is_an_input_error(tmp_path, capsys, command,
+                                                  text):
+    # json.loads refuses an integer literal of more than 4300 digits
+    path = tmp_path / "in.json"
+    path.write_text(text % ("1" * 5000))
+    code = run([command, "--input", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["error"]["code"] == "input"
+    assert rep["error"]["message"].startswith("invalid JSON: ")
+
+
+def test_too_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.loads runs out of recursion depth rather than decoding it
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100000)
+    code = run(["analyze", "--input", str(path)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["error"]["code"] == "input"
+    assert rep["error"]["message"].startswith("invalid JSON: ")
 
 
 def test_counterexample_split_symbol(tmp_path, capsys):

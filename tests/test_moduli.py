@@ -22,6 +22,7 @@ from p1moduli.errors import (
     NonElementaryGaloisQuotient,
     UnsupportedAut,
 )
+from p1moduli.intmath import factorint
 from p1moduli.moduli import (
     Cocycle,
     ModuliData,
@@ -605,14 +606,12 @@ def test_ramification_rejects_trivial_cover():
 # ---------------------------------------------------------------------------
 
 def symbols_agree(symbols_a, symbols_b):
-    """Same Brauer class: equal local Hilbert invariants everywhere that
-    could matter for the participating entries."""
+    """Same Brauer class: equal local Hilbert invariants at infinity, at 2
+    and at every odd prime dividing an entry; nothing else can differ."""
     places = {"infinity", 2}
     for (u, v) in symbols_a + symbols_b:
         for w in (u, v):
-            for p in range(2, abs(w) + 1):
-                if w % p == 0:
-                    places.add(p)
+            places.update(factorint(abs(w)))
     def local(symbols, p):
         out = 1
         for (u, v) in symbols:

@@ -18,6 +18,7 @@ from p1moduli.qfield import (
     sign_real,
     tower_extend,
 )
+from p1moduli.qfield import _sqrt
 
 F = Fraction
 
@@ -132,6 +133,18 @@ def test_root_squares_to_radicand():
             assert r * r == rad
 
 
+def test_from_ratios_matches_element():
+    rng = random.Random(29)
+    t = multiquadratic_tower([2, 5, -3])
+    for _ in range(100):
+        coords = [F(rng.choice([0, rng.randint(-99, 99)]),
+                    rng.choice([1, 6, rng.randint(1, 99)]))
+                  for _ in range(t.degree)]
+        want = t.element(coords)
+        got = t.from_ratios([(c.numerator, c.denominator) for c in coords])
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_pow_matches_repeated_mul():
     t = multiquadratic_tower([2, 5])
     x = t.element([1, 2, 0, F(1, 3)])
@@ -175,6 +188,15 @@ def test_sqrt_nonsquare_returns_none():
     assert t.from_rational(3).sqrt() is None
     assert t.root(0).sqrt() is None  # 2^(1/4) is not in Q(sqrt 2)
     assert (-t.one()).sqrt() is None
+
+
+@pytest.mark.parametrize("num, den, root", [
+    (8, 2, ((2,), 1)), (27, 12, ((3,), 2)), (0, 5, ((0,), 1)),
+    (9, 12, None), (-4, 1, None), (2, 1, None), (4, 18, None),
+])
+def test_sqrt_rational_base_divides_out_the_gcd(num, den, root):
+    # the halves of a reduced vector reach the base case unreduced
+    assert _sqrt((num,), den, FieldTower.rationals()) == root
 
 
 def test_sqrt_detects_product_of_radicands():
